@@ -2,89 +2,4 @@
 an attacker, a defender, and a passive target on an elliptic reference
 orbit, with an independent numerical baseline for verification."""
 
-from .orbital_core import (
-    AnomalyPoint,
-    ReferenceOrbit,
-    Tolerances,
-    anomaly_point,
-    eccentric_to_true,
-    omega11,
-    omega22,
-    phi,
-    phi_inv,
-    rho,
-    secular_l,
-    true_to_eccentric,
-)
-from .riccati import (
-    Block12,
-    RiccatiSolution,
-    SingularFactor,
-    WeightSet,
-    c1,
-    c_hat,
-    riccati_p,
-    u_blocks,
-    v_matrices,
-)
-from .game import (
-    ControlPair,
-    Costate,
-    DMatrix,
-    GameConfig,
-    JointState,
-    SystemMatrices,
-    Trajectory,
-    a_matrix,
-    b_matrix,
-    cost,
-    costate_controls,
-    d_matrix,
-    initial_costate,
-    nash_controls,
-    propagate_analytical,
-    system_matrices,
-    w_blocks,
-)
-from .numerical_baseline import (
-    NumericalBlowup,
-    PGrid,
-    Rk4Settings,
-    integrate_riccati_backward,
-    rk4_step,
-    simulate_numerical,
-)
-from .winning import (
-    Ellipsoid,
-    NotHovering,
-    Outcome,
-    OutcomeTag,
-    SingularBlock,
-    TerminalSets,
-    attacker_wins,
-    classify_outcome,
-    ellipsoid_at,
-    g1,
-    g2,
-    scan_quadratics,
-    winning_set_membership,
-)
-
-__all__ = [
-    "AnomalyPoint", "ReferenceOrbit", "Tolerances", "anomaly_point",
-    "eccentric_to_true", "omega11", "omega22", "phi", "phi_inv", "rho",
-    "secular_l", "true_to_eccentric",
-    "Block12", "RiccatiSolution", "SingularFactor", "WeightSet",
-    "c1", "c_hat", "riccati_p", "u_blocks", "v_matrices",
-    "ControlPair", "Costate", "DMatrix", "GameConfig", "JointState",
-    "SystemMatrices", "Trajectory", "a_matrix", "b_matrix", "cost",
-    "costate_controls", "d_matrix", "initial_costate", "nash_controls",
-    "propagate_analytical", "system_matrices", "w_blocks",
-    "NumericalBlowup", "PGrid", "Rk4Settings",
-    "integrate_riccati_backward", "rk4_step", "simulate_numerical",
-    "Ellipsoid", "NotHovering", "Outcome", "OutcomeTag", "SingularBlock",
-    "TerminalSets", "attacker_wins", "classify_outcome", "ellipsoid_at",
-    "g1", "g2", "scan_quadratics", "winning_set_membership",
-]
-
 __version__ = "0.1.0"

@@ -5,20 +5,20 @@ Scenario files are plain `key = value` text in a fixed key vocabulary;
 outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
-Exit codes: 0 ok, 2 scenario/config error, 3 singular or blown-up
-computation, 4 violated wincheck precondition.
+Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
+number included), 3 singular or blown-up computation, 4 violated wincheck
+precondition.
 """
 
 import argparse
 import csv
-import dataclasses
 import importlib.resources
 import json
 import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -54,45 +54,6 @@ class PreconditionError(ValueError):
 
 
 @dataclass(frozen=True)
-class ScenarioFile:
-    """Parsed scenario in the exact key vocabulary of the file format."""
-
-    mu: float
-    p: float
-    e: float
-    f0: float
-    ff: float
-    h_f: float
-    r_a: float
-    r_d: float
-    s_ar: float
-    s_av: float
-    s_dar: float
-    s_dav: float
-    xa0: np.ndarray
-    xda0: np.ndarray
-    R1: float
-    R2: float
-
-    def to_config(self):
-        orbit = ReferenceOrbit(mu=self.mu, p=self.p, e=self.e)
-        weights = WeightSet(
-            r_a=self.r_a, r_d=self.r_d,
-            s_ar=self.s_ar, s_av=self.s_av,
-            s_dar=self.s_dar, s_dav=self.s_dav,
-        )
-        return GameConfig(
-            orbit=orbit, weights=weights,
-            f0=self.f0, ff=self.ff, h_f=self.h_f,
-            r1=self.R1, r2=self.R2,
-            x_a0=self.xa0, x_da0=self.xda0,
-        )
-
-    def to_sets(self):
-        return TerminalSets(r1=self.R1, r2=self.R2)
-
-
-@dataclass(frozen=True)
 class SummaryRecord:
     """One method's run summary, serialized with these exact field names."""
 
@@ -106,7 +67,7 @@ class SummaryRecord:
     f_intercept: Optional[float]
 
     def to_dict(self):
-        return dataclasses.asdict(self)
+        return asdict(self)
 
 
 def _parse_value(key, raw, line_no):
@@ -125,7 +86,8 @@ def _parse_value(key, raw, line_no):
 
 
 def parse_scenario(path):
-    """Parse a `key = value` scenario file; errors carry line numbers."""
+    """Parse and validate a `key = value` scenario file into a GameConfig;
+    parse errors carry line numbers."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
@@ -147,7 +109,20 @@ def parse_scenario(path):
     missing = [k for k in _SCENARIO_KEYS if k not in seen]
     if missing:
         raise ScenarioError(f"missing keys: {', '.join(missing)}")
-    return ScenarioFile(**seen)
+    try:
+        return GameConfig(
+            orbit=ReferenceOrbit(mu=seen["mu"], p=seen["p"], e=seen["e"]),
+            weights=WeightSet(
+                r_a=seen["r_a"], r_d=seen["r_d"],
+                s_ar=seen["s_ar"], s_av=seen["s_av"],
+                s_dar=seen["s_dar"], s_dav=seen["s_dav"],
+            ),
+            f0=seen["f0"], ff=seen["ff"], h_f=seen["h_f"],
+            r1=seen["R1"], r2=seen["R2"],
+            x_a0=seen["xa0"], x_da0=seen["xda0"],
+        )
+    except ValueError as exc:
+        raise ScenarioError(str(exc))
 
 
 def _resolve_scenario(name):
@@ -161,12 +136,7 @@ def _resolve_scenario(name):
 
 
 def _load(name):
-    scenario = parse_scenario(_resolve_scenario(name))
-    try:
-        config = scenario.to_config()
-    except ValueError as exc:
-        raise ScenarioError(str(exc))
-    return scenario, config
+    return parse_scenario(_resolve_scenario(name))
 
 
 def _fmt(x):
@@ -244,9 +214,9 @@ def _emit_json(payload, out_path):
 
 
 def cmd_simulate(args):
-    scenario, config = _load(args.scenario)
+    config = _load(args.scenario)
     traj, seconds = _RUNNERS[args.method](config)
-    record = _summarize(args.method, traj, seconds, scenario.to_sets())
+    record = _summarize(args.method, traj, seconds, TerminalSets(config.r1, config.r2))
     if args.out_traj:
         write_trajectory_csv(args.out_traj, traj)
     _emit_json(record.to_dict(), args.out_summary)
@@ -259,8 +229,8 @@ def _rel_err(a, b):
 
 
 def cmd_compare(args):
-    scenario, config = _load(args.scenario)
-    sets = scenario.to_sets()
+    config = _load(args.scenario)
+    sets = TerminalSets(config.r1, config.r2)
     ana, t_ana = _run_analytical(config)
     num, t_num = _run_numerical(config)
     rec_a = _summarize("analytical", ana, t_ana, sets)
@@ -278,7 +248,7 @@ def cmd_compare(args):
 
 
 def cmd_wincheck(args):
-    scenario, config = _load(args.scenario)
+    config = _load(args.scenario)
     if args.rd0 is not None:
         parts = [s.strip() for s in args.rd0.split(",")]
         if len(parts) != 3:
@@ -312,7 +282,7 @@ def cmd_wincheck(args):
 
 
 def cmd_sweep_e(args):
-    scenario, _ = _load(args.scenario)
+    config = _load(args.scenario)
     e_values = []
     if args.e_list.strip():
         try:
@@ -324,9 +294,9 @@ def cmd_sweep_e(args):
         row = {"e": _fmt(e), "attacker_wins": "", "f_a": "",
                "min_g1": "", "min_g2": "", "error": ""}
         try:
-            config = dataclasses.replace(scenario, e=e).to_config()
-            fs, v1, v2 = scan_quadratics(config)
-            wins, f_a = attacker_wins(config)
+            swept = replace(config, orbit=replace(config.orbit, e=e))
+            fs, v1, v2 = scan_quadratics(swept)
+            wins, f_a = attacker_wins(swept)
             row["attacker_wins"] = "true" if wins else "false"
             row["f_a"] = _fmt(f_a) if f_a is not None else ""
             row["min_g1"] = _fmt(v1.min())
@@ -344,7 +314,7 @@ def cmd_sweep_e(args):
 
 
 def cmd_ellipsoids(args):
-    scenario, config = _load(args.scenario)
+    config = _load(args.scenario)
     try:
         f_values = [float(s) for s in args.f_list.split(",")] if args.f_list.strip() else []
     except ValueError:
@@ -386,7 +356,7 @@ def cmd_bench(args):
     if args.reps < 3:
         print("bench: --reps must be at least 3", file=sys.stderr)
         return 2
-    _, config = _load(args.scenario)
+    config = _load(args.scenario)
     times = {"analytical": [], "numerical": []}
     for method in ("analytical", "numerical"):
         for _ in range(args.reps):

@@ -1,4 +1,4 @@
-"""Pursuit game model: joint state, feedback strategies, closed-form
+"""Pursuit game model: scenario, feedback strategies, closed-form
 trajectory propagation through the D matrix, and the game cost.
 
 The pursuer chases a passive target sitting at the origin of the rotating
@@ -6,12 +6,13 @@ frame while the defender tries to intercept the pursuer.  Everything is
 expressed in the scaled true-anomaly-domain coordinates of orbital_core.
 """
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .orbital_core import ReferenceOrbit, omega22, rho
-from .riccati import Block12, WeightSet, _riccati_p_arrays, _u_blocks_arrays, riccati_p
+from .orbital_core import ReferenceOrbit, rho
+from .riccati import WeightSet, _riccati_p_arrays, _u_blocks_arrays, riccati_p
 
 
 @dataclass(frozen=True)
@@ -36,6 +37,8 @@ class GameConfig:
     def __post_init__(self):
         object.__setattr__(self, "x_a0", np.asarray(self.x_a0, dtype=float))
         object.__setattr__(self, "x_da0", np.asarray(self.x_da0, dtype=float))
+        if not (math.isfinite(self.f0) and math.isfinite(self.ff)):
+            raise ValueError(f"f0 and ff must be finite, got f0={self.f0!r}, ff={self.ff!r}")
         if not self.f0 < self.ff:
             raise ValueError(f"need f0 < ff, got f0={self.f0!r}, ff={self.ff!r}")
         if not self.h_f > 0:
@@ -78,207 +81,6 @@ class GameConfig:
 
 
 @dataclass(frozen=True)
-class JointState:
-    """Pursuer and defender-pursuer tilde states at one anomaly."""
-
-    x_a: np.ndarray
-    x_da: np.ndarray
-
-    @property
-    def r_a(self):
-        """Pursuer-target position block, km."""
-        return self.x_a[:3]
-
-    @property
-    def v_a(self):
-        return self.x_a[3:]
-
-    @property
-    def r_da(self):
-        """Defender-pursuer position block, km."""
-        return self.x_da[:3]
-
-    @property
-    def v_da(self):
-        return self.x_da[3:]
-
-
-@dataclass(frozen=True)
-class Costate:
-    """Costate pair: lam drives the pursuer leg, nu the defender leg."""
-
-    lam: np.ndarray
-    nu: np.ndarray
-
-
-@dataclass(frozen=True)
-class ControlPair:
-    """Raw control vectors as they enter B u in the scaled dynamics."""
-
-    u_a: np.ndarray
-    u_d: np.ndarray
-
-
-@dataclass(frozen=True)
-class SystemMatrices:
-    """Dynamics matrices at one anomaly: y' = a y + b u."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-
-def a_matrix(orbit, f):
-    """Relative-motion system matrix at f, shape (..., 6, 6)."""
-    f = np.asarray(f, dtype=float)
-    r = rho(orbit, f)
-    out = np.zeros(f.shape + (6, 6))
-    out[..., 0, 3] = 1.0
-    out[..., 1, 4] = 1.0
-    out[..., 2, 5] = 1.0
-    out[..., 3, 0] = 3.0 / r
-    out[..., 3, 4] = 2.0
-    out[..., 4, 3] = -2.0
-    out[..., 5, 2] = -1.0
-    return out
-
-
-def b_matrix(orbit, f):
-    """Control input matrix (beta/rho^3) [0; I], shape (..., 6, 3)."""
-    f = np.asarray(f, dtype=float)
-    scale = orbit.beta / rho(orbit, f) ** 3
-    out = np.zeros(f.shape + (6, 3))
-    for i in range(3):
-        out[..., 3 + i, i] = scale
-    return out
-
-
-def system_matrices(orbit, f):
-    return SystemMatrices(a=a_matrix(orbit, f), b=b_matrix(orbit, f))
-
-
-def w_blocks(orbit, weights, f):
-    """Blocks of the coupled state/costate flow at f: W11 = diag(A, A),
-    W21 = 0, W22 = diag(-A^T, -A^T), and the control coupling W12."""
-    f = np.asarray(f, dtype=float)
-    a = a_matrix(orbit, f)
-    at = np.swapaxes(a, -1, -2)
-    w11 = np.zeros(f.shape + (12, 12))
-    w11[..., 0:6, 0:6] = a
-    w11[..., 6:12, 6:12] = a
-    w22 = np.zeros(f.shape + (12, 12))
-    w22[..., 0:6, 0:6] = -at
-    w22[..., 6:12, 6:12] = -at
-    # B Ra^-1 B^T = (beta^2 / rho^6 / r_a) diag(0, I3); same shape for the
-    # defender term with the weight difference
-    g_a = orbit.beta**2 / rho(orbit, f) ** 6 / weights.r_a
-    g_v = orbit.beta**2 / rho(orbit, f) ** 6 * (1.0 / weights.r_d - 1.0 / weights.r_a)
-    w12 = np.zeros(f.shape + (12, 12))
-    for i in range(3, 6):
-        w12[..., i, i] = -g_a
-        w12[..., i, i + 6] = g_a
-        w12[..., i + 6, i] = g_a
-        w12[..., i + 6, i + 6] = g_v
-    w21 = np.zeros(f.shape + (12, 12))
-    return w11, w12, w21, w22
-
-
-@dataclass(frozen=True)
-class DMatrix:
-    """Propagation matrix D(f) = U11(f, f0) + U12(f, f0) P(f0) mapping the
-    initial joint state to the joint state at f, with named sub-blocks.
-
-    Quadrant access via d11..d22; 3x3 position/velocity splits via the
-    rr/rv/vr/vv suffixed properties."""
-
-    m: np.ndarray
-    f: float
-
-    def _sub(self, qi, qj, ri, rj):
-        return self.m[6 * qi + 3 * ri:6 * qi + 3 * ri + 3,
-                      6 * qj + 3 * rj:6 * qj + 3 * rj + 3]
-
-    @property
-    def d11(self):
-        return self.m[0:6, 0:6]
-
-    @property
-    def d12(self):
-        return self.m[0:6, 6:12]
-
-    @property
-    def d21(self):
-        return self.m[6:12, 0:6]
-
-    @property
-    def d22(self):
-        return self.m[6:12, 6:12]
-
-    @property
-    def d11rr(self):
-        return self._sub(0, 0, 0, 0)
-
-    @property
-    def d11rv(self):
-        return self._sub(0, 0, 0, 1)
-
-    @property
-    def d11vr(self):
-        return self._sub(0, 0, 1, 0)
-
-    @property
-    def d11vv(self):
-        return self._sub(0, 0, 1, 1)
-
-    @property
-    def d12rr(self):
-        return self._sub(0, 1, 0, 0)
-
-    @property
-    def d12rv(self):
-        return self._sub(0, 1, 0, 1)
-
-    @property
-    def d12vr(self):
-        return self._sub(0, 1, 1, 0)
-
-    @property
-    def d12vv(self):
-        return self._sub(0, 1, 1, 1)
-
-    @property
-    def d21rr(self):
-        return self._sub(1, 0, 0, 0)
-
-    @property
-    def d21rv(self):
-        return self._sub(1, 0, 0, 1)
-
-    @property
-    def d21vr(self):
-        return self._sub(1, 0, 1, 0)
-
-    @property
-    def d21vv(self):
-        return self._sub(1, 0, 1, 1)
-
-    @property
-    def d22rr(self):
-        return self._sub(1, 1, 0, 0)
-
-    @property
-    def d22rv(self):
-        return self._sub(1, 1, 0, 1)
-
-    @property
-    def d22vr(self):
-        return self._sub(1, 1, 1, 0)
-
-    @property
-    def d22vv(self):
-        return self._sub(1, 1, 1, 1)
-
-
-@dataclass(frozen=True)
 class Trajectory:
     """Grid-sampled game history.
 
@@ -296,36 +98,13 @@ class Trajectory:
     dist_da: np.ndarray
     cost: float
 
-    def state(self, k):
-        return JointState(x_a=self.x_a[k], x_da=self.x_da[k])
-
-    def control(self, k):
-        return ControlPair(u_a=self.u_a[k], u_d=self.u_d[k])
-
-    def costate(self, k):
-        return Costate(lam=self.lam[k], nu=self.nu[k])
-
-
-def initial_costate(config):
-    """Costates at f0 as the linear image P(f0) y(f0)."""
-    sol = riccati_p(config.orbit, config.weights, config.f0, config.ff)
-    y0 = np.concatenate([config.x_a0, config.x_da0])
-    lam0 = sol.p.m @ y0
-    return Costate(lam=lam0[:6], nu=lam0[6:])
-
 
 def _d_grid(config, f):
-    """D(f) stacks for an array of anomalies, reusing one P(f0) solve."""
-    p0, _ = _riccati_p_arrays(config.orbit, config.weights, config.f0, config.ff)
-    u11, u12, _, _ = _u_blocks_arrays(config.orbit, config.weights, f, config.f0)
+    """Propagation matrix D(f) = U11(f, f0) + U12(f, f0) P(f0), mapping the
+    initial joint state to the joint state at a scalar or array anomaly f."""
+    p0 = riccati_p(config.orbit, config.weights, config.f0, config.ff)
+    u11, u12, _ = _u_blocks_arrays(config.orbit, config.weights, f, config.f0)
     return u11 + u12 @ p0
-
-
-def d_matrix(config, f):
-    """Propagation matrix from f0 to f for this scenario."""
-    if not config.f0 <= f <= config.ff:
-        raise ValueError(f"f={f!r} outside the game horizon [{config.f0!r}, {config.ff!r}]")
-    return DMatrix(m=_d_grid(config, float(f)), f=float(f))
 
 
 def _feedback_controls(orbit, weights, p, x_a, x_da, f):
@@ -348,39 +127,13 @@ def _mv(m, v):
     return np.einsum("...ij,...j->...i", m, v)
 
 
-def nash_controls(config, p_at_f, state, f):
-    """Saddle-point feedback controls at anomaly f.
-
-    The same controls follow from the costates as
-    u_a = -(1/r_a) B^T (lam - nu), u_d = (1/r_d) B^T nu; both forms agree
-    along the equilibrium trajectory."""
-    p = p_at_f.p.m if isinstance(p_at_f.p, Block12) else np.asarray(p_at_f.p)
-    u_a, u_d = _feedback_controls(
-        config.orbit, config.weights, p, state.x_a, state.x_da, float(f)
-    )
-    return ControlPair(u_a=u_a, u_d=u_d)
-
-
-def costate_controls(config, costate, f):
-    """Costate form of the strategies: u_a = -(1/r_a) B^T (lam - nu),
-    u_d = (1/r_d) B^T nu."""
-    scale = config.orbit.beta / rho(config.orbit, f) ** 3
-    u_a = -scale / config.weights.r_a * (costate.lam - costate.nu)[3:6]
-    u_d = scale / config.weights.r_d * costate.nu[3:6]
-    return ControlPair(u_a=u_a, u_d=u_d)
-
-
-def _trapezoid(values, grid):
-    return float(np.trapezoid(values, grid))
-
-
 def _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d):
     w = config.weights
     running = w.r_a * np.sum(u_a * u_a, axis=-1) - w.r_d * np.sum(u_d * u_d, axis=-1)
     terminal = (
         x_a[-1] @ w.sa @ x_a[-1] - x_da[-1] @ w.sda @ x_da[-1]
     )
-    return 0.5 * terminal + 0.5 * _trapezoid(running, grid)
+    return 0.5 * terminal + 0.5 * float(np.trapezoid(running, grid))
 
 
 def cost(config, trajectory):
@@ -400,8 +153,8 @@ def propagate_analytical(config):
     grid = config.grid
     y0 = np.concatenate([config.x_a0, config.x_da0])
 
-    p0, _ = _riccati_p_arrays(config.orbit, config.weights, config.f0, config.ff)
-    u11, u12, _, u22 = _u_blocks_arrays(config.orbit, config.weights, grid, config.f0)
+    p0 = riccati_p(config.orbit, config.weights, config.f0, config.ff)
+    u11, u12, u22 = _u_blocks_arrays(config.orbit, config.weights, grid, config.f0)
     d = u11 + u12 @ p0
     y = _mv(d, y0)
     x_a = y[:, 0:6]
@@ -410,7 +163,7 @@ def propagate_analytical(config):
     lam0 = p0 @ y0
     costates = _mv(u22, lam0)
 
-    p_all, _ = _riccati_p_arrays(config.orbit, config.weights, grid, config.ff)
+    p_all = _riccati_p_arrays(config.orbit, config.weights, grid, config.ff)
     u_a, u_d = _feedback_controls(config.orbit, config.weights, p_all, x_a, x_da, grid)
 
     dist_at = np.linalg.norm(x_a[:, :3], axis=1)

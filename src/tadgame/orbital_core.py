@@ -3,27 +3,15 @@ linearized relative motion in the true-anomaly domain.
 
 States are scaled local-frame coordinates (rho times the physical offsets),
 ordered (x, y, z, x', y', z') with primes denoting derivatives with respect
-to true anomaly.  Positions carry km, derivatives km/rad.
+to true anomaly.  Positions carry km, derivatives km/rad.  The matrix
+builders accept a scalar anomaly or an array and return matching
+(..., 6, 6) stacks.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-
-# A 6x6 transition matrix in the (x, y, z, x', y', z') ordering.  All
-# builders below accept a scalar anomaly or an array and return matching
-# (..., 6, 6) stacks.
-Stm6 = np.ndarray
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Central tolerances for the matrix identity checks used by the tests."""
-
-    identity: float = 1e-10
-    composition: float = 1e-9
-    oracle: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -36,13 +24,22 @@ class ReferenceOrbit:
     e: float
 
     def __post_init__(self):
-        if not self.mu > 0:
-            raise ValueError(f"mu must be positive, got {self.mu!r}")
-        if not self.p > 0:
-            raise ValueError(f"p must be positive, got {self.p!r}")
+        for name in ("mu", "p"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
         # the linearized relative-motion model is only trusted at low eccentricity
         if not 0.0 <= self.e <= 0.8:
             raise ValueError(f"e must lie in [0, 0.8], got {self.e!r}")
+        # beta = 1/n^2 in (0, inf) also keeps n finite and positive
+        try:
+            scaled = 0.0 < self.beta < math.inf
+        except ArithmeticError:
+            scaled = False
+        if not scaled:
+            raise ValueError(
+                f"p={self.p!r} with mu={self.mu!r} gives no finite positive n and beta"
+            )
 
     @property
     def n(self):
@@ -58,24 +55,6 @@ class ReferenceOrbit:
     def a(self):
         """Semimajor axis, km."""
         return self.p / (1.0 - self.e * self.e)
-
-
-@dataclass(frozen=True)
-class AnomalyPoint:
-    """A true anomaly together with its continued eccentric anomaly and rho."""
-
-    f: float
-    E: float
-    rho: float
-
-
-def anomaly_point(orbit, f):
-    """Bundle f with E(f) and rho(f)."""
-    return AnomalyPoint(
-        f=float(f),
-        E=float(true_to_eccentric(orbit, f)),
-        rho=float(rho(orbit, f)),
-    )
 
 
 def rho(orbit, f):
@@ -118,8 +97,7 @@ def _phi_terms(orbit, f):
     sf = np.sin(f)
     cf = np.cos(f)
     r = 1.0 + e * cf
-    E = np.asarray(true_to_eccentric(orbit, f))
-    lf = (E - e * np.sin(E)) / q**1.5
+    lf = secular_l(orbit, f)
     p1 = r * sf
     p1p = r * cf - e * sf * sf
     s1 = -cf - 0.5 * e * cf * cf

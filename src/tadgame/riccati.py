@@ -3,8 +3,9 @@ the feedback strategies of the pursuit game.
 
 The control-weighted Gramian of the relative dynamics has an antiderivative
 in eccentric anomaly, C_hat(E).  From it the coupling integral C1, the
-scaled blocks V1/V2 and the 12x12 transition blocks U11/U12/U21/U22 follow,
-and the Riccati solution P(f) is a single linear solve per query anomaly.
+scaled blocks V1/V2 and the 12x12 transition blocks U11/U12/U22 follow
+(U21 vanishes because the costates evolve autonomously), and the Riccati
+solution P(f) is a single linear solve per query anomaly.
 """
 
 import math
@@ -14,9 +15,8 @@ import numpy as np
 
 from .orbital_core import omega11, omega22, phi, true_to_eccentric
 
-# Symmetric 6x6 antiderivative matrix as produced by c_hat.
-CMatrix = np.ndarray
-
+# condition estimate past which a matrix inverted by the closed form counts
+# as singular, in riccati and in winning alike
 _SINGULAR_COND = 1e14
 
 
@@ -27,6 +27,24 @@ class SingularFactor(RuntimeError):
         super().__init__(message)
         self.f = f
         self.cond = cond
+
+
+def _raise_if_singular(mats, f, error, what):
+    """Raise error(message, f=, cond=) at the first anomaly where a matrix
+    of the stack mats is singular or its condition estimate is not finite;
+    f is the scalar or grid anomaly the stack was built at."""
+    cond = np.linalg.cond(mats)
+    bad = (cond > _SINGULAR_COND) | ~np.isfinite(cond)
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        f_bad = float(np.broadcast_to(np.asarray(f, dtype=float), np.shape(cond)).ravel()[idx])
+        c_bad = float(np.ravel(cond)[idx])
+        raise error(
+            f"{what} is numerically singular at f={f_bad:.9g} "
+            f"(condition estimate {c_bad:.3e})",
+            f=f_bad,
+            cond=c_bad,
+        )
 
 
 @dataclass(frozen=True)
@@ -42,6 +60,9 @@ class WeightSet:
     s_dav: float
 
     def __post_init__(self):
+        for name in ("r_a", "r_d", "s_ar", "s_av", "s_dar", "s_dav"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not self.r_a > 0:
             raise ValueError(f"r_a must be positive, got {self.r_a!r}")
         if not self.r_d > 0:
@@ -66,67 +87,6 @@ class WeightSet:
         return np.diag(
             [self.s_ar] * 3 + [self.s_av] * 3 + [-self.s_dar] * 3 + [-self.s_dav] * 3
         )
-
-
-class Block12:
-    """12x12 matrix with named 6x6 quadrant views."""
-
-    __slots__ = ("m",)
-
-    def __init__(self, m):
-        m = np.asarray(m, dtype=float)
-        if m.shape != (12, 12):
-            raise ValueError(f"expected a (12, 12) matrix, got shape {m.shape}")
-        self.m = m
-
-    @property
-    def b11(self):
-        return self.m[0:6, 0:6]
-
-    @property
-    def b12(self):
-        return self.m[0:6, 6:12]
-
-    @property
-    def b21(self):
-        return self.m[6:12, 0:6]
-
-    @property
-    def b22(self):
-        return self.m[6:12, 6:12]
-
-    def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.m, dtype=dtype)
-
-    def __repr__(self):
-        return f"Block12({self.m!r})"
-
-
-@dataclass(frozen=True)
-class RiccatiSolution:
-    """Riccati solution at a query anomaly together with the condition
-    estimate of the inverted factor."""
-
-    p: Block12
-    cond: float
-    f: float
-    ff: float
-
-    @property
-    def p11(self):
-        return self.p.b11
-
-    @property
-    def p12(self):
-        return self.p.b12
-
-    @property
-    def p21(self):
-        return self.p.b21
-
-    @property
-    def p22(self):
-        return self.p.b22
 
 
 def c_hat(orbit, E):
@@ -309,7 +269,8 @@ def v_matrices(orbit, weights, f2, f1):
 
 
 def _u_blocks_arrays(orbit, weights, f2, f1):
-    """U blocks as raw (..., 12, 12) stacks, broadcasting f2 against f1."""
+    """Transition blocks (U11, U12, U22) of the coupled state/costate system
+    from f1 to f2 as raw (..., 12, 12) stacks, broadcasting f2 against f1."""
     o11 = omega11(orbit, f2, f1)
     o22 = omega22(orbit, f2, f1)
     v1, v2 = v_matrices(orbit, weights, f2, f1)
@@ -325,46 +286,25 @@ def _u_blocks_arrays(orbit, weights, f2, f1):
     u12[..., 0:6, 6:12] = v1
     u12[..., 6:12, 0:6] = v1
     u12[..., 6:12, 6:12] = v2
-    u21 = np.zeros(shape + (12, 12))
-    return u11, u12, u21, u22
-
-
-def u_blocks(orbit, weights, f2, f1):
-    """Transition blocks of the coupled state/costate system from f1 to f2.
-
-    Returns (U11, U12, U21, U22) as Block12 records; U21 is identically
-    zero because the costates evolve autonomously."""
-    u11, u12, u21, u22 = _u_blocks_arrays(orbit, weights, float(f2), float(f1))
-    return Block12(u11), Block12(u12), Block12(u21), Block12(u22)
+    return u11, u12, u22
 
 
 def _riccati_p_arrays(orbit, weights, f, ff):
-    """P(f) and factor condition numbers for a scalar or array anomaly f."""
-    u11, u12, _, u22 = _u_blocks_arrays(orbit, weights, ff, f)
+    """P(f) for a scalar or array anomaly f; raises SingularFactor at the
+    first anomaly where the factor U22 - S U12 is singular."""
+    u11, u12, u22 = _u_blocks_arrays(orbit, weights, ff, f)
     s = weights.s_block
     factor = u22 - s @ u12
-    cond = np.linalg.cond(factor)
-    if np.any(cond > _SINGULAR_COND) or not np.all(np.isfinite(cond)):
-        bad = np.argmax((cond > _SINGULAR_COND) | ~np.isfinite(cond))
-        f_bad = float(np.broadcast_to(np.asarray(f, dtype=float), np.shape(cond)).ravel()[bad]) \
-            if np.shape(cond) else float(f)
-        c_bad = float(np.asarray(cond).ravel()[bad]) if np.shape(cond) else float(cond)
-        raise SingularFactor(
-            f"factor U22 - S U12 is numerically singular at f={f_bad:.9g} "
-            f"(condition estimate {c_bad:.3e})",
-            f=f_bad,
-            cond=c_bad,
-        )
-    p = np.linalg.solve(factor, s @ u11)
-    return p, cond
+    _raise_if_singular(factor, f, SingularFactor, "factor U22 - S U12")
+    return np.linalg.solve(factor, s @ u11)
 
 
 def riccati_p(orbit, weights, f, ff):
-    """Closed-form Riccati solution P(f) for the horizon ending at ff.
+    """Closed-form Riccati solution P(f), a 12x12 array, for the horizon
+    ending at ff.
 
     At f = ff the blocks collapse to identity/zero and P equals
     diag(Sa, -Sda) exactly."""
     if f > ff:
         raise ValueError(f"query anomaly f={f!r} lies beyond the horizon ff={ff!r}")
-    p, cond = _riccati_p_arrays(orbit, weights, float(f), float(ff))
-    return RiccatiSolution(p=Block12(p), cond=float(cond), f=float(f), ff=float(ff))
+    return _riccati_p_arrays(orbit, weights, float(f), float(ff))

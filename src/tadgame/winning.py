@@ -14,8 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .game import _d_grid
-
-_SINGULAR_COND = 1e14
+from .riccati import _raise_if_singular
 
 
 class SingularBlock(RuntimeError):
@@ -112,40 +111,30 @@ def _require_hovering(config):
         )
 
 
-def _gram_pieces(d_stack, f_values, which):
-    """Gram matrices and center offsets for a stack of D matrices.
+def _set_pieces(config, f, d, which):
+    """Gram matrix, center offset and inverted position block of one
+    quadratic, from the D matrix d built at the scalar or grid anomaly f.
 
     which=1 builds the capture quadratic from (D11rr, D12rr), which=2 the
-    interception quadratic from (D21rr, D22rr).  Returns (gram, own, cross)
-    where own is the block inverted and cross the companion block."""
-    if which == 1:
-        own = d_stack[..., 0:3, 6:9]
-        cross = d_stack[..., 0:3, 0:3]
-    else:
-        own = d_stack[..., 6:9, 6:9]
-        cross = d_stack[..., 6:9, 0:3]
-    cond = np.linalg.cond(own)
-    bad = (cond > _SINGULAR_COND) | ~np.isfinite(cond)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        f_bad = float(np.asarray(f_values).ravel()[idx]) if np.ndim(f_values) else float(f_values)
-        c_bad = float(np.asarray(cond).ravel()[idx]) if np.ndim(cond) else float(cond)
-        label = "capture" if which == 1 else "interception"
-        raise SingularBlock(
-            f"position block of the {label} condition is singular at "
-            f"f={f_bad:.9g} (condition estimate {c_bad:.3e})",
-            f=f_bad,
-            cond=c_bad,
-        )
+    interception quadratic from (D21rr, D22rr).  The center offset is
+    r_tilde = Ra0 - own^-1 cross Ra0, own being the inverted block."""
+    rows = slice(0, 3) if which == 1 else slice(6, 9)
+    own = d[..., rows, 6:9]
+    cross = d[..., rows, 0:3]
+    label = "capture" if which == 1 else "interception"
+    _raise_if_singular(own, f, SingularBlock, f"position block of the {label} condition")
     gram = np.swapaxes(own, -1, -2) @ own
-    return gram, own, cross
-
-
-def _centers(own, cross, ra0):
-    """Center offsets r_tilde = Ra0 - own^-1 cross Ra0, batched."""
+    ra0 = config.x_a0[:3]
     rhs = np.einsum("...ij,j->...i", cross, ra0)
-    sol = np.linalg.solve(own, rhs[..., None])[..., 0]
-    return ra0 - sol
+    center = ra0 - np.linalg.solve(own, rhs[..., None])[..., 0]
+    return gram, center, own
+
+
+def _pieces_at(config, f, which):
+    """_set_pieces at one anomaly f, for a hovering scenario."""
+    _require_hovering(config)
+    f = float(f)
+    return _set_pieces(config, f, _d_grid(config, f), which)
 
 
 def _quadratic(gram, center, rd0):
@@ -159,24 +148,16 @@ def g1(config, f, rd0):
     """Capture quadratic at anomaly f for defender initial position rd0.
 
     Nonpositive values mean the pursuer reaches the capture ball at f."""
-    _require_hovering(config)
-    d = _d_grid(config, float(f))
-    gram, own, cross = _gram_pieces(d, float(f), 1)
-    center = _centers(own, cross, config.x_a0[:3])
-    rd0 = np.asarray(rd0, dtype=float)
-    return float(_quadratic(gram, center, rd0) - config.r1**2)
+    gram, center, _ = _pieces_at(config, f, 1)
+    return float(_quadratic(gram, center, np.asarray(rd0, dtype=float)) - config.r1**2)
 
 
 def g2(config, f, rd0):
     """Interception quadratic at anomaly f for defender initial position rd0.
 
     Positive values mean the defender has not reached the pursuer at f."""
-    _require_hovering(config)
-    d = _d_grid(config, float(f))
-    gram, own, cross = _gram_pieces(d, float(f), 2)
-    center = _centers(own, cross, config.x_a0[:3])
-    rd0 = np.asarray(rd0, dtype=float)
-    return float(_quadratic(gram, center, rd0) - config.r2**2)
+    gram, center, _ = _pieces_at(config, f, 2)
+    return float(_quadratic(gram, center, np.asarray(rd0, dtype=float)) - config.r2**2)
 
 
 def _scan_tables(config):
@@ -185,18 +166,10 @@ def _scan_tables(config):
     _require_hovering(config)
     fs = config.grid[1:]
     d = _d_grid(config, fs)
-    g1m, own1, cross1 = _gram_pieces(d, fs, 1)
-    g2m, own2, cross2 = _gram_pieces(d, fs, 2)
-    ra0 = config.x_a0[:3]
-    return {
-        "f": fs,
-        "g1": g1m,
-        "c1": _centers(own1, cross1, ra0),
-        "g2": g2m,
-        "c2": _centers(own2, cross2, ra0),
-        "r1": config.r1,
-        "r2": config.r2,
-    }
+    g1m, c1, _ = _set_pieces(config, fs, d, 1)
+    g2m, c2, _ = _set_pieces(config, fs, d, 2)
+    return {"f": fs, "g1": g1m, "c1": c1, "g2": g2m, "c2": c2,
+            "r1": config.r1, "r2": config.r2}
 
 
 def _scan_values(tables, rd0):
@@ -243,12 +216,8 @@ def winning_set_membership(config, rd0):
 def ellipsoid_at(config, f, which):
     """Explicit ellipsoid record of the capture ("S1") or interception
     ("S2") set at anomaly f, for geometric export."""
-    _require_hovering(config)
     if which not in ("S1", "S2"):
         raise ValueError(f'which must be "S1" or "S2", got {which!r}')
-    d = _d_grid(config, float(f))
-    idx = 1 if which == "S1" else 2
-    gram, own, cross = _gram_pieces(d, float(f), idx)
-    center = _centers(own, cross, config.x_a0[:3])
+    gram, center, own = _pieces_at(config, f, 1 if which == "S1" else 2)
     radius = config.r1 if which == "S1" else config.r2
     return Ellipsoid(g=gram, center_offset=center, radius=float(radius), m=own)

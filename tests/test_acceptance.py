@@ -133,17 +133,17 @@ def test_criterion_7(ref_config, analytical_run, numerical_run):
             assert np.abs(fd - want).max() / scale < 1e-6
 
     # terminal boundary value is exact; initial gain matches the baseline
-    sol_ff = riccati_p(orbit, weights, ref_config.ff, ref_config.ff)
-    assert np.array_equal(sol_ff.p.m, weights.s_block)
+    p_ff = riccati_p(orbit, weights, ref_config.ff, ref_config.ff)
+    assert np.array_equal(p_ff, weights.s_block)
     pgrid, _, _, _ = numerical_run
-    sol_f0 = riccati_p(orbit, weights, ref_config.f0, ref_config.ff)
-    assert np.abs(pgrid.p[-1] - sol_f0.p.m).max() / np.abs(sol_f0.p.m).max() <= 1e-5
+    p_f0 = riccati_p(orbit, weights, ref_config.f0, ref_config.ff)
+    assert np.abs(pgrid.p[-1] - p_f0).max() / np.abs(p_f0).max() <= 1e-5
 
     # differential-equation residual of the closed-form gain
     for f in rng.uniform(0.3, ref_config.ff - 0.3, 20):
-        hi = riccati_p(orbit, weights, f + delta, ref_config.ff).p.m
-        lo = riccati_p(orbit, weights, f - delta, ref_config.ff).p.m
-        mid = riccati_p(orbit, weights, f, ref_config.ff).p.m
+        hi = riccati_p(orbit, weights, f + delta, ref_config.ff)
+        lo = riccati_p(orbit, weights, f - delta, ref_config.ff)
+        mid = riccati_p(orbit, weights, f, ref_config.ff)
         fd = (hi - lo) / (2.0 * delta)
         want = riccati_rhs(orbit.e, f, orbit.beta, weights.r_a, weights.r_d, mid)
         assert np.linalg.norm(fd - want) <= 1e-4 * np.linalg.norm(mid)

@@ -9,7 +9,6 @@ import pytest
 
 from conftest import reference_config
 from tadgame.cli import (
-    ScenarioFile,
     ScenarioError,
     SummaryRecord,
     _rel_err,
@@ -19,7 +18,7 @@ from tadgame.cli import (
     read_trajectory_csv,
     write_trajectory_csv,
 )
-from tadgame.game import propagate_analytical
+from tadgame.game import GameConfig, propagate_analytical
 from tadgame.winning import g1 as g1_scalar
 from tadgame.winning import g2 as g2_scalar
 
@@ -61,11 +60,10 @@ def run(argv, capsys):
 
 class TestParseScenario:
     def test_reads_reference_values(self, tmp_path):
-        sc = parse_scenario(scenario_file(tmp_path))
-        assert isinstance(sc, ScenarioFile)
-        assert sc.mu == 398603.0 and sc.e == 0.1
-        assert np.array_equal(sc.xda0, [-2.0, -20.0, 0.0, 0.0, 0.0, 0.0])
-        cfg = sc.to_config()
+        cfg = parse_scenario(scenario_file(tmp_path))
+        assert isinstance(cfg, GameConfig)
+        assert cfg.orbit.mu == 398603.0 and cfg.orbit.e == 0.1
+        assert np.array_equal(cfg.x_da0, [-2.0, -20.0, 0.0, 0.0, 0.0, 0.0])
         ref = reference_config()
         assert cfg.ff == ref.ff and cfg.h_f == ref.h_f
         assert np.array_equal(cfg.grid, ref.grid)
@@ -74,7 +72,7 @@ class TestParseScenario:
         path = tmp_path / "c.cfg"
         body = "\n".join(f"{k} = {v}  # unit note" for k, v in DEFAULTS.items())
         path.write_text("# header\n\n" + body + "\n", encoding="utf-8")
-        assert parse_scenario(str(path)).p == 10000.0
+        assert parse_scenario(str(path)).orbit.p == 10000.0
 
     @pytest.mark.parametrize("mutation, needle", [
         (lambda p: scenario_file(p, mu="398603.0\njunk line"), "line 2"),
@@ -95,9 +93,9 @@ class TestParseScenario:
 
 class TestResolve:
     def test_packaged_name(self):
-        sc = parse_scenario(_resolve_scenario("reference"))
-        assert sc.mu == 398603.0
-        assert sc.h_f == H_F
+        cfg = parse_scenario(_resolve_scenario("reference"))
+        assert cfg.orbit.mu == 398603.0
+        assert cfg.h_f == H_F
 
     def test_unknown_name(self):
         with pytest.raises(ScenarioError, match="not found"):
@@ -148,6 +146,19 @@ class TestExitCodes:
         code, _, err = run(["simulate", path], capsys)
         assert code == 2
         assert err.startswith("cli.ScenarioError:")
+
+    @pytest.mark.parametrize("key, value", [
+        ("s_ar", "nan"),
+        ("r_a", "inf"),
+        ("mu", "inf"),
+        ("p", "1e-300"),
+        ("ff", "inf"),
+    ])
+    def test_non_finite_scenario_value(self, tmp_path, capsys, key, value):
+        path = scenario_file(tmp_path, **{key: value})
+        code, _, err = run(["simulate", path], capsys)
+        assert code == 2
+        assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
 
     def test_unknown_scenario_name(self, capsys):
         code, _, err = run(["simulate", "no-such-scenario"], capsys)

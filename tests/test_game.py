@@ -9,26 +9,16 @@ import pytest
 from conftest import reference_config, reference_orbit, reference_weights
 from properties import max_rel
 from tadgame.game import (
-    ControlPair,
-    Costate,
-    DMatrix,
-    GameConfig,
-    JointState,
-    SystemMatrices,
     Trajectory,
-    a_matrix,
-    b_matrix,
+    _d_grid,
+    _feedback_controls,
     cost,
-    costate_controls,
-    d_matrix,
-    initial_costate,
-    nash_controls,
     propagate_analytical,
-    system_matrices,
-    w_blocks,
 )
+from tadgame.numerical_baseline import _a_rows, _w_rows
 from tadgame.orbital_core import rho
 from tadgame.riccati import riccati_p
+from tadgame.winning import ellipsoid_at
 
 ORBIT = reference_orbit()
 WEIGHTS = reference_weights()
@@ -58,6 +48,8 @@ class TestGameConfig:
         dict(x_a0=np.array([np.nan, 20, 0, 0, 0, 0])),
         dict(x_a0=np.array([0.0, 0.005, 0, 0, 0, 0])),   # starts captured
         dict(x_da0=np.array([0.0, 0.001, 0, 0, 0, 0])),  # starts intercepted
+        dict(ff=math.inf),
+        dict(f0=-math.inf),
     ])
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
@@ -73,19 +65,12 @@ class TestGameConfig:
             cfg.with_defender_position([1.0, 2.0])
 
 
-class TestStateRecords:
-    def test_joint_state_accessors(self):
-        s = JointState(x_a=np.arange(6.0), x_da=np.arange(6.0, 12.0))
-        assert np.array_equal(s.r_a, [0.0, 1.0, 2.0])
-        assert np.array_equal(s.v_a, [3.0, 4.0, 5.0])
-        assert np.array_equal(s.r_da, [6.0, 7.0, 8.0])
-        assert np.array_equal(s.v_da, [9.0, 10.0, 11.0])
-
-
 class TestSystemMatrices:
+    # the plant and the coupled-flow blocks live only in the RK4 oracle;
+    # the closed form never builds them
     def test_plant_pattern(self):
         f = 1.2
-        a = a_matrix(ORBIT, f)
+        a = np.array(_a_rows(ORBIT.e, f))
         r = rho(ORBIT, f)
         want = np.zeros((6, 6))
         want[0, 3] = want[1, 4] = want[2, 5] = 1.0
@@ -95,29 +80,15 @@ class TestSystemMatrices:
         want[5, 2] = -1.0
         assert np.array_equal(a, want)
 
-    def test_input_matrix(self):
-        f = 0.7
-        b = b_matrix(ORBIT, f)
-        scale = ORBIT.beta / rho(ORBIT, f) ** 3
-        assert np.all(b[:3] == 0.0)
-        assert np.allclose(b[3:], scale * np.eye(3), rtol=1e-15)
-
-    def test_bundle(self):
-        sm = system_matrices(ORBIT, 0.7)
-        assert isinstance(sm, SystemMatrices)
-        assert np.array_equal(sm.a, a_matrix(ORBIT, 0.7))
-        assert np.array_equal(sm.b, b_matrix(ORBIT, 0.7))
-
     def test_weight_block_structure(self):
         f = 2.2
-        w11, w12, w21, w22 = w_blocks(ORBIT, WEIGHTS, f)
-        a = a_matrix(ORBIT, f)
+        w11, w12, w22 = (np.array(w) for w in _w_rows(ORBIT, WEIGHTS, f))
+        a = np.array(_a_rows(ORBIT.e, f))
         assert np.array_equal(w11[0:6, 0:6], a)
         assert np.array_equal(w11[6:12, 6:12], a)
         assert np.all(w11[0:6, 6:12] == 0.0)
         assert np.array_equal(w22[0:6, 0:6], -a.T)
         assert np.array_equal(w22[6:12, 6:12], -a.T)
-        assert np.all(w21 == 0.0)
         base = ORBIT.beta**2 / rho(ORBIT, f) ** 6
         g = np.zeros((6, 6))
         g[3:, 3:] = np.eye(3) * (base / WEIGHTS.r_a)
@@ -130,52 +101,41 @@ class TestSystemMatrices:
 
 
 class TestInitialCostate:
-    def test_homogeneity(self):
+    def test_homogeneity(self, analytical_run):
         cfg = reference_config()
         doubled = replace(cfg, x_a0=2.0 * cfg.x_a0, x_da0=2.0 * cfg.x_da0)
-        c1 = initial_costate(cfg)
-        c2 = initial_costate(doubled)
-        assert np.array_equal(c2.lam, 2.0 * c1.lam)
-        assert np.array_equal(c2.nu, 2.0 * c1.nu)
+        t1, _ = analytical_run
+        t2 = propagate_analytical(doubled)
+        assert np.array_equal(t2.lam[0], 2.0 * t1.lam[0])
+        assert np.array_equal(t2.nu[0], 2.0 * t1.nu[0])
 
-    def test_linear_image(self):
+    def test_linear_image(self, analytical_run):
         cfg = reference_config()
-        c = initial_costate(cfg)
-        p0 = riccati_p(ORBIT, WEIGHTS, cfg.f0, cfg.ff).p.m
+        traj, _ = analytical_run
+        p0 = riccati_p(ORBIT, WEIGHTS, cfg.f0, cfg.ff)
         y0 = np.concatenate([cfg.x_a0, cfg.x_da0])
         lam = p0 @ y0
-        assert np.array_equal(c.lam, lam[:6])
-        assert np.array_equal(c.nu, lam[6:])
+        assert np.array_equal(traj.lam[0], lam[:6])
+        assert np.array_equal(traj.nu[0], lam[6:])
 
 
 class TestDMatrix:
     def test_identity_at_start(self):
-        d = d_matrix(reference_config(), 0.0)
-        assert np.array_equal(d.m, np.eye(12))
-
-    def test_rejects_outside_horizon(self):
-        cfg = reference_config()
-        with pytest.raises(ValueError):
-            d_matrix(cfg, -0.1)
-        with pytest.raises(ValueError):
-            d_matrix(cfg, cfg.ff + 0.1)
+        assert np.array_equal(_d_grid(reference_config(), 0.0), np.eye(12))
 
     def test_named_blocks(self):
-        d = d_matrix(reference_config(), 1.0)
-        assert isinstance(d, DMatrix)
-        m = d.m
-        assert np.array_equal(d.d11, m[0:6, 0:6])
-        assert np.array_equal(d.d12rr, m[0:3, 6:9])
-        assert np.array_equal(d.d12rv, m[0:3, 9:12])
-        assert np.array_equal(d.d21vr, m[9:12, 0:3])
-        assert np.array_equal(d.d22rr, m[6:9, 6:9])
-        assert np.array_equal(d.d22vv, m[9:12, 9:12])
+        # the position blocks the winning conditions invert are D12rr for
+        # capture and D22rr for interception
+        cfg = reference_config()
+        d = _d_grid(cfg, 1.0)
+        assert np.array_equal(ellipsoid_at(cfg, 1.0, "S1").m, d[0:3, 6:9])
+        assert np.array_equal(ellipsoid_at(cfg, 1.0, "S2").m, d[6:9, 6:9])
 
     def test_terminal_distance(self, analytical_run):
         cfg = reference_config()
-        d = d_matrix(cfg, cfg.ff)
+        d = _d_grid(cfg, cfg.ff)
         y0 = np.concatenate([cfg.x_a0, cfg.x_da0])
-        dist = np.linalg.norm((d.m @ y0)[:3])
+        dist = np.linalg.norm((d @ y0)[:3])
         assert abs(dist - 3.2018e-3) / 3.2018e-3 < 1e-3
         traj, _ = analytical_run
         assert dist == pytest.approx(traj.dist_at[-1], rel=1e-12)
@@ -193,35 +153,33 @@ class TestDMatrix:
 class TestNashControls:
     def test_zero_state_zero_control(self):
         cfg = reference_config()
-        sol = riccati_p(ORBIT, WEIGHTS, 1.0, cfg.ff)
-        pair = nash_controls(cfg, sol, JointState(np.zeros(6), np.zeros(6)), 1.0)
-        assert np.all(pair.u_a == 0.0) and np.all(pair.u_d == 0.0)
+        p = riccati_p(ORBIT, WEIGHTS, 1.0, cfg.ff)
+        u_a, u_d = _feedback_controls(ORBIT, WEIGHTS, p, np.zeros(6), np.zeros(6), 1.0)
+        assert np.all(u_a == 0.0) and np.all(u_d == 0.0)
 
     def test_stationarity(self):
         # first-order conditions of the saddle point, through the costates
         cfg = reference_config()
         f = 1.1
-        sol = riccati_p(ORBIT, WEIGHTS, f, cfg.ff)
+        p = riccati_p(ORBIT, WEIGHTS, f, cfg.ff)
         rng = np.random.default_rng(81)
         x_a, x_da = rng.standard_normal(6), rng.standard_normal(6)
-        pair = nash_controls(cfg, sol, JointState(x_a, x_da), f)
+        u_a, u_d = _feedback_controls(ORBIT, WEIGHTS, p, x_a, x_da, f)
         y = np.concatenate([x_a, x_da])
-        lam_nu = sol.p.m @ y
+        lam_nu = p @ y
         lam, nu = lam_nu[:6], lam_nu[6:]
         scale = ORBIT.beta / rho(ORBIT, f) ** 3
-        res_a = WEIGHTS.r_a * pair.u_a + scale * (lam - nu)[3:6]
-        res_d = WEIGHTS.r_d * pair.u_d - scale * nu[3:6]
-        norm = max(np.abs(WEIGHTS.r_a * pair.u_a).max(), 1.0)
+        res_a = WEIGHTS.r_a * u_a + scale * (lam - nu)[3:6]
+        res_d = WEIGHTS.r_d * u_d - scale * nu[3:6]
+        norm = max(np.abs(WEIGHTS.r_a * u_a).max(), 1.0)
         assert np.abs(res_a).max() / norm < 1e-12
-        assert np.abs(res_d).max() / max(np.abs(WEIGHTS.r_d * pair.u_d).max(), 1.0) < 1e-12
+        assert np.abs(res_d).max() / max(np.abs(WEIGHTS.r_d * u_d).max(), 1.0) < 1e-12
 
-    def test_start_controls_match_baseline(self, numerical_run):
-        cfg = reference_config()
+    def test_start_controls_match_baseline(self, analytical_run, numerical_run):
+        traj, _ = analytical_run
         _, traj_num, _, _ = numerical_run
-        sol = riccati_p(ORBIT, WEIGHTS, cfg.f0, cfg.ff)
-        pair = nash_controls(cfg, sol, JointState(cfg.x_a0, cfg.x_da0), cfg.f0)
-        assert max_rel(pair.u_a, traj_num.u_a[0]) < 1e-5
-        assert max_rel(pair.u_d, traj_num.u_d[0]) < 1e-5
+        assert max_rel(traj.u_a[0], traj_num.u_a[0]) < 1e-5
+        assert max_rel(traj.u_d[0], traj_num.u_d[0]) < 1e-5
 
     def test_costate_form_matches_feedback_form(self, analytical_run):
         # the two algebraic forms of the strategies agree along the
@@ -233,14 +191,6 @@ class TestNashControls:
         u_d = (scale[:, None] / WEIGHTS.r_d) * traj.nu[:, 3:6]
         assert np.abs(u_a - traj.u_a).max() / np.abs(traj.u_a).max() < 1e-8
         assert np.abs(u_d - traj.u_d).max() / np.abs(traj.u_d).max() < 1e-8
-
-    def test_costate_controls_record(self):
-        cfg = reference_config()
-        pair = costate_controls(cfg, Costate(lam=np.ones(6), nu=np.zeros(6)), 0.0)
-        assert isinstance(pair, ControlPair)
-        scale = ORBIT.beta / rho(ORBIT, 0.0) ** 3
-        assert np.allclose(pair.u_a, -scale / WEIGHTS.r_a * np.ones(3), rtol=1e-15)
-        assert np.all(pair.u_d == 0.0)
 
 
 class TestPropagateAnalytical:

@@ -7,10 +7,7 @@ import pytest
 
 from properties import kepler_bisect, max_rel, plant_matrix, rk4_integrate
 from tadgame.orbital_core import (
-    AnomalyPoint,
     ReferenceOrbit,
-    Tolerances,
-    anomaly_point,
     eccentric_to_true,
     omega11,
     omega22,
@@ -41,6 +38,10 @@ class TestReferenceOrbit:
         dict(mu=398603.0, p=0.0, e=0.1),
         dict(mu=398603.0, p=10000.0, e=-0.01),
         dict(mu=398603.0, p=10000.0, e=0.81),
+        dict(mu=math.inf, p=10000.0, e=0.1),
+        dict(mu=398603.0, p=1e-300, e=0.1),     # p^3 underflows to 0
+        dict(mu=398603.0, p=1e300, e=0.1),      # p^3 overflows
+        dict(mu=1e-320, p=10000.0, e=0.1),      # n underflows to 0
     ])
     def test_rejects_invalid(self, bad):
         with pytest.raises(ValueError):
@@ -103,15 +104,6 @@ class TestAnomalyConversion:
         for f in (-7.0, -1.0, 2.0, 9.0, 20.0):
             E = true_to_eccentric(orbit_with(0.5), f)
             assert abs(E - f) < math.pi
-
-
-class TestAnomalyPoint:
-    def test_bundle(self):
-        pt = anomaly_point(ORBIT, 1.3)
-        assert isinstance(pt, AnomalyPoint)
-        assert pt.f == 1.3
-        assert pt.rho == rho(ORBIT, 1.3)
-        assert pt.E == true_to_eccentric(ORBIT, 1.3)
 
 
 class TestSecularTerm:
@@ -223,10 +215,3 @@ class TestOmega22:
         want = rk4_integrate(field, lam0, 0.2, 3.1, math.pi / 1e4)
         got = omega22(ORBIT, 3.1, 0.2) @ lam0
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-8
-
-
-def test_tolerances_defaults():
-    tol = Tolerances()
-    assert tol.identity == 1e-10
-    assert tol.composition == 1e-9
-    assert tol.oracle == 1e-8
