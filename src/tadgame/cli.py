@@ -6,8 +6,8 @@ outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
 Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
-number included), 3 singular or blown-up computation, 4 violated wincheck
-precondition.
+number, or an ellipsoids anomaly outside [f0, ff], included), 3 singular
+or blown-up computation, 4 violated wincheck precondition.
 """
 
 import argparse
@@ -333,6 +333,8 @@ def cmd_ellipsoids(args):
                 ell = ellipsoid_at(config, f, which)
             except NotHovering as exc:
                 raise PreconditionError(str(exc))
+            except ValueError as exc:  # an anomaly outside [f0, ff], NaN included
+                raise ScenarioError(f"--f-list: {exc}")
             except SingularBlock as exc:
                 row["error"] = f"SingularBlock: {exc}"
                 rows.append(row)

@@ -1,5 +1,6 @@
-"""Pursuit game model: scenario, feedback strategies, closed-form
-trajectory propagation through the D matrix, and the game cost.
+"""Pursuit game model: scenario, closed-form trajectory propagation
+through the D matrix with the saddle-point strategies taken from the
+costates, and the game cost.
 
 The pursuer chases a passive target sitting at the origin of the rotating
 frame while the defender tries to intercept the pursuer.  Everything is
@@ -12,7 +13,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .orbital_core import ReferenceOrbit, rho
-from .riccati import WeightSet, _riccati_p_arrays, _u_blocks_arrays, riccati_p
+from .riccati import (
+    WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays, riccati_p)
 
 
 @dataclass(frozen=True)
@@ -99,32 +101,23 @@ class Trajectory:
     cost: float
 
 
+def _propagator(orbit, weights, o11, c1, p0):
+    """D = U11 + U12 P(f0) from the blocks Omega11 and C1 from f0, with
+    U12 = M x C1 applied to the row blocks of P(f0)."""
+    w = (_coupling(orbit, weights) @ p0.reshape(2, -1)).reshape(2, 6, 12)
+    d = (c1[..., None, :, :] @ w).reshape(c1.shape[:-2] + (12, 12))
+    d[..., :6, :6] += o11
+    d[..., 6:, 6:] += o11
+    return d
+
+
 def _d_grid(config, f):
     """Propagation matrix D(f) = U11(f, f0) + U12(f, f0) P(f0), mapping the
     initial joint state to the joint state at a scalar or array anomaly f."""
-    p0 = riccati_p(config.orbit, config.weights, config.f0, config.ff)
-    u11, u12, _ = _u_blocks_arrays(config.orbit, config.weights, f, config.f0)
-    return u11 + u12 @ p0
-
-
-def _feedback_controls(orbit, weights, p, x_a, x_da, f):
-    """Feedback form of the saddle-point strategies, vectorized over nodes.
-
-    p is (..., 12, 12), x_a/x_da are (..., 6), f broadcasts against them."""
-    scale = orbit.beta / rho(orbit, f) ** 3
-    p11 = p[..., 0:6, 0:6]
-    p12 = p[..., 0:6, 6:12]
-    p21 = p[..., 6:12, 0:6]
-    p22 = p[..., 6:12, 6:12]
-    grad_a = _mv(p11 - p21, x_a) + _mv(p12 - p22, x_da)
-    grad_d = _mv(p21, x_a) + _mv(p22, x_da)
-    u_a = -np.asarray(scale)[..., None] / weights.r_a * grad_a[..., 3:6]
-    u_d = np.asarray(scale)[..., None] / weights.r_d * grad_d[..., 3:6]
-    return u_a, u_d
-
-
-def _mv(m, v):
-    return np.einsum("...ij,...j->...i", m, v)
+    orbit, weights = config.orbit, config.weights
+    p0 = riccati_p(orbit, weights, config.f0, config.ff)
+    o11, _, c1 = _u_blocks_arrays(_tables(orbit, f), _tables(orbit, config.f0))
+    return _propagator(orbit, weights, o11, c1, p0)
 
 
 def _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d):
@@ -148,29 +141,34 @@ def cost(config, trajectory):
 def propagate_analytical(config):
     """Propagate the equilibrium game over the whole grid in closed form.
 
-    States come from D(f) y0, costates from the costate transition blocks,
-    controls from the feedback law with P(f) recomputed at every node."""
+    One table evaluation on the grid gives every block: the factor is
+    checked at every node and P(f0) taken from its inverse at the first,
+    states come from D(f) y0, costates from the costate transition blocks,
+    and the saddle-point controls from the costates,
+    u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v."""
+    orbit, weights = config.orbit, config.weights
     grid = config.grid
     y0 = np.concatenate([config.x_a0, config.x_da0])
 
-    p0 = riccati_p(config.orbit, config.weights, config.f0, config.ff)
-    u11, u12, u22 = _u_blocks_arrays(config.orbit, config.weights, grid, config.f0)
-    d = u11 + u12 @ p0
-    y = _mv(d, y0)
+    t, p0 = _riccati_p_arrays(orbit, weights, grid, config.ff)
+    o11, o22, c1 = _u_blocks_arrays(t, t[0])
+    y = _propagator(orbit, weights, o11, c1, p0) @ y0
     x_a = y[:, 0:6]
     x_da = y[:, 6:12]
 
     lam0 = p0 @ y0
-    costates = _mv(u22, lam0)
+    costates = o22 @ lam0.reshape(2, 6).T
+    lam = costates[..., 0]
+    nu = costates[..., 1]
 
-    p_all = _riccati_p_arrays(config.orbit, config.weights, grid, config.ff)
-    u_a, u_d = _feedback_controls(config.orbit, config.weights, p_all, x_a, x_da, grid)
+    scale = orbit.beta / rho(orbit, grid) ** 3
+    u_a = -(scale[:, None] / weights.r_a) * (lam - nu)[:, 3:6]
+    u_d = (scale[:, None] / weights.r_d) * nu[:, 3:6]
 
     dist_at = np.linalg.norm(x_a[:, :3], axis=1)
     dist_da = np.linalg.norm(x_da[:, :3], axis=1)
     j = _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d)
     return Trajectory(
         grid=grid, x_a=x_a, x_da=x_da, u_a=u_a, u_d=u_d,
-        lam=costates[:, 0:6], nu=costates[:, 6:12],
-        dist_at=dist_at, dist_da=dist_da, cost=j,
+        lam=lam, nu=nu, dist_at=dist_at, dist_da=dist_da, cost=j,
     )

@@ -1,4 +1,4 @@
-"""Elliptic reference orbit kinematics and the transition matrices of
+"""Elliptic reference orbit kinematics and the fundamental matrix of
 linearized relative motion in the true-anomaly domain.
 
 States are scaled local-frame coordinates (rho times the physical offsets),
@@ -165,31 +165,3 @@ def phi_inv(orbit, f):
     out[..., 5, 5] = cf
     return out
 
-
-def omega11(orbit, f2, f1):
-    """State transition matrix of the uncontrolled system from f1 to f2.
-
-    Equal anomalies return the exact identity so that downstream terminal
-    conditions hold to the bit."""
-    f2 = np.asarray(f2, dtype=float)
-    f1 = np.asarray(f1, dtype=float)
-    f2b, f1b = np.broadcast_arrays(f2, f1)
-    out = phi(orbit, f2b) @ phi_inv(orbit, f1b)
-    eq = f2b == f1b
-    if np.any(eq):
-        out = np.where(eq[..., None, None], np.eye(6), out)
-    return out
-
-
-def omega22(orbit, f2, f1):
-    """Costate transition matrix from f1 to f2; equals omega11(f2, f1)^-T."""
-    f2 = np.asarray(f2, dtype=float)
-    f1 = np.asarray(f1, dtype=float)
-    f2b, f1b = np.broadcast_arrays(f2, f1)
-    left = np.swapaxes(phi_inv(orbit, f2b), -1, -2)
-    right = np.swapaxes(phi(orbit, f1b), -1, -2)
-    out = left @ right
-    eq = f2b == f1b
-    if np.any(eq):
-        out = np.where(eq[..., None, None], np.eye(6), out)
-    return out

@@ -2,10 +2,12 @@
 the feedback strategies of the pursuit game.
 
 The control-weighted Gramian of the relative dynamics has an antiderivative
-in eccentric anomaly, C_hat(E).  From it the coupling integral C1, the
-scaled blocks V1/V2 and the 12x12 transition blocks U11/U12/U22 follow
-(U21 vanishes because the costates evolve autonomously), and the Riccati
-solution P(f) is a single linear solve per query anomaly.
+in eccentric anomaly, C_hat(E).  One table evaluation gives phi, phi^-1 and
+C_hat at an anomaly array; every transition block of the coupled
+state/costate system is a 6x6 product of table records (U11 = I2 x Omega11,
+U12 = M x C1, U22 = I2 x Omega22; U21 vanishes because the costates evolve
+autonomously), and the Riccati solution P(f) is F^-1 S U11 with the factor
+F = U22 - S U12 inverted under one singularity policy.
 """
 
 import math
@@ -13,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbital_core import omega11, omega22, phi, true_to_eccentric
+from .orbital_core import phi, phi_inv, true_to_eccentric
 
-# condition estimate past which a matrix inverted by the closed form counts
-# as singular, in riccati and in winning alike
+# condition number kappa_1 past which a matrix inverted by the closed form
+# counts as singular, in riccati and in winning alike
 _SINGULAR_COND = 1e14
 
 
 class SingularFactor(RuntimeError):
-    """The 12x12 factor inverted by riccati_p is numerically singular."""
+    """The 12x12 factor inverted by riccati_p is numerically singular, or
+    its determinant shows a conjugate point before the horizon ends."""
 
     def __init__(self, message, f=None, cond=None):
         super().__init__(message)
@@ -29,22 +32,34 @@ class SingularFactor(RuntimeError):
         self.cond = cond
 
 
-def _raise_if_singular(mats, f, error, what):
-    """Raise error(message, f=, cond=) at the first anomaly where a matrix
-    of the stack mats is singular or its condition estimate is not finite;
-    f is the scalar or grid anomaly the stack was built at."""
-    cond = np.linalg.cond(mats)
-    bad = (cond > _SINGULAR_COND) | ~np.isfinite(cond)
+def _kappa1(mats, inv):
+    """Condition number ||A||_1 ||A^-1||_1 of a stack, from its inverse."""
+    return np.abs(mats).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
+
+
+def _checked_inverse(mats, f, error, what):
+    """Inverse and determinant sign, both from LU passes (slogdet, inv), of a
+    stack of square matrices built at the scalar or grid anomaly f.  Under
+    the one singularity policy, raise error(message, f=, cond=) at the first
+    anomaly where a matrix holds a non-finite value, is exactly singular or
+    has kappa_1 above _SINGULAR_COND.  Matrices with a non-finite
+    log-determinant are swapped for the identity first, as inv would
+    otherwise fail for the whole stack."""
+    with np.errstate(invalid="ignore"):
+        sign, logdet = np.linalg.slogdet(mats)
+    ok = np.isfinite(logdet) & np.all(np.isfinite(mats), axis=(-2, -1))
+    if not np.all(ok):
+        mats = np.where(ok[..., None, None], mats, np.eye(mats.shape[-1]))
+    inv = np.linalg.inv(mats)
+    kappa = np.where(ok, _kappa1(mats, inv), np.inf)
+    bad = ~(kappa <= _SINGULAR_COND)
     if np.any(bad):
         idx = int(np.argmax(bad))
-        f_bad = float(np.broadcast_to(np.asarray(f, dtype=float), np.shape(cond)).ravel()[idx])
-        c_bad = float(np.ravel(cond)[idx])
-        raise error(
-            f"{what} is numerically singular at f={f_bad:.9g} "
-            f"(condition estimate {c_bad:.3e})",
-            f=f_bad,
-            cond=c_bad,
-        )
+        f_bad = float(np.broadcast_to(np.asarray(f, dtype=float), np.shape(kappa)).ravel()[idx])
+        c_bad = float(np.ravel(kappa)[idx])
+        raise error(f"{what} is numerically singular at f={f_bad:.9g} "
+                    f"(condition number {c_bad:.3e})", f=f_bad, cond=c_bad)
+    return inv, sign
 
 
 @dataclass(frozen=True)
@@ -251,52 +266,94 @@ def c_hat(orbit, E):
     return out
 
 
-def c1(orbit, f2, f1):
-    """Coupling integral C1(f2, f1) = phi(f2) (C_hat(E2) - C_hat(E1)) phi(f1)^T."""
-    e2 = true_to_eccentric(orbit, f2)
-    e1 = true_to_eccentric(orbit, f1)
-    diff = c_hat(orbit, e2) - c_hat(orbit, e1)
-    right = np.swapaxes(phi(orbit, f1), -1, -2)
-    return phi(orbit, f2) @ diff @ right
+# one table record per anomaly: f with phi(f), phi^-1(f) and C_hat(E(f))
+_TABLE = np.dtype([("f", float), ("phi", float, (6, 6)), ("inv", float, (6, 6)),
+                   ("chat", float, (6, 6))])
 
 
-def v_matrices(orbit, weights, f2, f1):
-    """Control-weighted coupling blocks (V1, V2)."""
-    base = c1(orbit, f2, f1) / orbit.n**4
-    v1 = base / weights.r_a
-    v2 = (1.0 / weights.r_d - 1.0 / weights.r_a) * base
-    return v1, v2
+def _tables(orbit, f):
+    """Table records at the anomaly f (scalar or array): the values every
+    transition block is built from.  t[k] is the record of node k."""
+    f = np.asarray(f, dtype=float)
+    t = np.empty(f.shape, _TABLE)
+    t["f"] = f
+    t["phi"] = phi(orbit, f)
+    t["inv"] = phi_inv(orbit, f)
+    t["chat"] = c_hat(orbit, true_to_eccentric(orbit, f))
+    return t
 
 
-def _u_blocks_arrays(orbit, weights, f2, f1):
-    """Transition blocks (U11, U12, U22) of the coupled state/costate system
-    from f1 to f2 as raw (..., 12, 12) stacks, broadcasting f2 against f1."""
-    o11 = omega11(orbit, f2, f1)
-    o22 = omega22(orbit, f2, f1)
-    v1, v2 = v_matrices(orbit, weights, f2, f1)
-    shape = np.broadcast_shapes(np.shape(f2), np.shape(f1))
-    u11 = np.zeros(shape + (12, 12))
-    u11[..., 0:6, 0:6] = o11
-    u11[..., 6:12, 6:12] = o11
-    u22 = np.zeros(shape + (12, 12))
-    u22[..., 0:6, 0:6] = o22
-    u22[..., 6:12, 6:12] = o22
-    u12 = np.zeros(shape + (12, 12))
-    u12[..., 0:6, 0:6] = -v1
-    u12[..., 0:6, 6:12] = v1
-    u12[..., 6:12, 0:6] = v1
-    u12[..., 6:12, 6:12] = v2
-    return u11, u12, u22
+def omega11(t2, t1):
+    """State transition matrix phi(f2) phi^-1(f1) from the tables at f2 and f1."""
+    return t2["phi"] @ t1["inv"]
+
+
+def omega22(t2, t1):
+    """Costate transition matrix phi^-1(f2)^T phi(f1)^T = omega11(t2, t1)^-T."""
+    return np.swapaxes(t2["inv"], -1, -2) @ np.swapaxes(t1["phi"], -1, -2)
+
+
+def _u_blocks_arrays(t2, t1):
+    """Transition blocks (Omega11, Omega22, C1) from f1 to f2 of the coupled
+    state/costate system, from the tables at f2 and f1 (broadcast), with the
+    coupling integral C1 = phi(f2) (C_hat2 - C_hat1) phi(f1)^T.  Then
+    U11 = I2 x Omega11, U12 = M x C1 with M from _coupling, and
+    U22 = I2 x Omega22.  Equal anomalies give the exact identity."""
+    o11, o22 = omega11(t2, t1), omega22(t2, t1)
+    c1 = t2["phi"] @ (t2["chat"] - t1["chat"]) @ np.swapaxes(t1["phi"], -1, -2)
+    eq = np.asarray(t2["f"] == t1["f"])[..., None, None]
+    if np.any(eq):
+        o11, o22 = np.where(eq, np.eye(6), o11), np.where(eq, np.eye(6), o22)
+    return o11, o22, c1
+
+
+def _coupling(orbit, weights):
+    """2x2 weight matrix M of U12 = M x C1, with the 1/n^4 scale folded in."""
+    a = 1.0 / weights.r_a
+    m = np.array([[-a, a], [a, 1.0 / weights.r_d - a]])
+    return m / orbit.n**4
+
+
+def _factor(orbit, weights, o22, c1):
+    """The factor F = U22 - S U12, filled block by block:
+    F_ij = delta_ij Omega22 - s_i M_ij C1."""
+    m = _coupling(orbit, weights)
+    s = np.diag(weights.s_block)
+    factor = np.empty(np.shape(c1)[:-2] + (12, 12))
+    for i in range(2):
+        rows = slice(6 * i, 6 * i + 6)
+        for j in range(2):
+            block = -(s[rows, None] * m[i, j]) * c1
+            factor[..., rows, 6 * j:6 * j + 6] = o22 + block if i == j else block
+    return factor
 
 
 def _riccati_p_arrays(orbit, weights, f, ff):
-    """P(f) for a scalar or array anomaly f; raises SingularFactor at the
-    first anomaly where the factor U22 - S U12 is singular."""
-    u11, u12, u22 = _u_blocks_arrays(orbit, weights, ff, f)
-    s = weights.s_block
-    factor = u22 - s @ u12
-    _raise_if_singular(factor, f, SingularFactor, "factor U22 - S U12")
-    return np.linalg.solve(factor, s @ u11)
+    """Closed form at the anomaly array (or scalar) f for the horizon ending
+    at ff: the tables at f, and P = F^-1 S U11 at the first node of f as a
+    12x12 array.
+
+    The factor F (see _factor) is checked at every node: SingularFactor is
+    raised where _checked_inverse raises, and where det F <= 0.  F(ff) = I,
+    so a nonpositive determinant at f proves a conjugate point in (f, ff],
+    and the largest such node f_k brackets one in (f_k, f_k+1]."""
+    t = _tables(orbit, f)
+    o11, o22, c1 = _u_blocks_arrays(_tables(orbit, ff), t)
+    factor = _factor(orbit, weights, o22, c1).reshape(-1, 12, 12)
+    what = "factor U22 - S U12"
+    inv, sign = _checked_inverse(factor, t["f"], SingularFactor, what)
+    nonpos = np.flatnonzero(sign < 0)
+    if nonpos.size:
+        k = nonpos[-1]
+        fs = np.append(t["f"], ff)
+        raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
+                             f"({fs[k]:.9g}, {fs[k + 1]:.9g}]",
+                             f=float(fs[k]), cond=float(_kappa1(factor[k], inv[k])))
+    o11 = o11.reshape(-1, 6, 6)[0]
+    s = np.diag(weights.s_block)
+    p = np.concatenate([inv[0, :, :6] @ (s[:6, None] * o11),
+                        inv[0, :, 6:] @ (s[6:, None] * o11)], axis=1)
+    return t, p
 
 
 def riccati_p(orbit, weights, f, ff):
@@ -307,4 +364,4 @@ def riccati_p(orbit, weights, f, ff):
     diag(Sa, -Sda) exactly."""
     if f > ff:
         raise ValueError(f"query anomaly f={f!r} lies beyond the horizon ff={ff!r}")
-    return _riccati_p_arrays(orbit, weights, float(f), float(ff))
+    return _riccati_p_arrays(orbit, weights, float(f), float(ff))[1]

@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from .game import _d_grid
-from .riccati import _raise_if_singular
+from .riccati import _checked_inverse
 
 
 class SingularBlock(RuntimeError):
@@ -122,18 +122,19 @@ def _set_pieces(config, f, d, which):
     own = d[..., rows, 6:9]
     cross = d[..., rows, 0:3]
     label = "capture" if which == 1 else "interception"
-    _raise_if_singular(own, f, SingularBlock, f"position block of the {label} condition")
+    own_inv, _ = _checked_inverse(own, f, SingularBlock, f"position block of the {label} condition")
     gram = np.swapaxes(own, -1, -2) @ own
     ra0 = config.x_a0[:3]
-    rhs = np.einsum("...ij,j->...i", cross, ra0)
-    center = ra0 - np.linalg.solve(own, rhs[..., None])[..., 0]
+    center = ra0 - (own_inv @ (cross @ ra0)[..., None])[..., 0]
     return gram, center, own
 
 
 def _pieces_at(config, f, which):
-    """_set_pieces at one anomaly f, for a hovering scenario."""
+    """_set_pieces at one anomaly f in [f0, ff], for a hovering scenario."""
     _require_hovering(config)
     f = float(f)
+    if not config.f0 <= f <= config.ff:
+        raise ValueError(f"anomaly f={f!r} lies outside the horizon [{config.f0!r}, {config.ff!r}]")
     return _set_pieces(config, f, _d_grid(config, f), which)
 
 

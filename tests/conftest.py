@@ -14,7 +14,7 @@ import pytest
 from tadgame.game import GameConfig, propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
 from tadgame.orbital_core import ReferenceOrbit
-from tadgame.riccati import WeightSet
+from tadgame.riccati import WeightSet, _coupling, _tables, _u_blocks_arrays
 from tadgame.winning import TerminalSets
 
 
@@ -41,6 +41,31 @@ def reference_config(**overrides):
     )
     kw.update(overrides)
     return GameConfig(**kw)
+
+
+def kernel_blocks(orbit, f2, f1):
+    """(Omega11, Omega22, C1) from f1 to f2, through the table kernel."""
+    return _u_blocks_arrays(_tables(orbit, f2), _tables(orbit, f1))
+
+
+def dense_blocks(orbit, weights, f2, f1):
+    """U11, U12, U22 from f1 to f2 as 12x12 arrays assembled from the
+    kernel's blocks."""
+    o11, o22, c1 = kernel_blocks(orbit, f2, f1)
+    eye2 = np.eye(2)
+    return np.kron(eye2, o11), np.kron(_coupling(orbit, weights), c1), np.kron(eye2, o22)
+
+
+def omega11(orbit, f2, f1):
+    return kernel_blocks(orbit, f2, f1)[0]
+
+
+def omega22(orbit, f2, f1):
+    return kernel_blocks(orbit, f2, f1)[1]
+
+
+def c1(orbit, f2, f1):
+    return kernel_blocks(orbit, f2, f1)[2]
 
 
 @pytest.fixture(scope="session")

@@ -70,6 +70,29 @@ def riccati_rhs(e, f, beta, r_a, r_d, p):
     return w22 @ p - p @ w11 - p @ w12 @ p
 
 
+def feedback_controls(e, f, beta, r_a, r_d, p, x_a, x_da):
+    """Feedback form of the saddle-point strategies at one anomaly f:
+    u_a = -(beta / rho^3 r_a) [(P11 - P21) x_a + (P12 - P22) x_da]_v and
+    u_d = (beta / rho^3 r_d) [P21 x_a + P22 x_da]_v, from the 12x12 gain p."""
+    scale = beta / (1.0 + e * math.cos(f)) ** 3
+    p11, p12 = p[0:6, 0:6], p[0:6, 6:12]
+    p21, p22 = p[6:12, 0:6], p[6:12, 6:12]
+    grad_a = (p11 - p21) @ x_a + (p12 - p22) @ x_da
+    grad_d = p21 @ x_a + p22 @ x_da
+    return -scale / r_a * grad_a[3:6], scale / r_d * grad_d[3:6]
+
+
+def feedback_along(traj, gain, e, beta, r_a, r_d, nodes):
+    """feedback_controls at the given nodes of a trajectory, with gain(f)
+    returning the 12x12 P(f); arrays (len(nodes), 3) for u_a and u_d."""
+    pairs = [
+        feedback_controls(e, traj.grid[k], beta, r_a, r_d, gain(traj.grid[k]),
+                          traj.x_a[k], traj.x_da[k])
+        for k in nodes
+    ]
+    return np.array([u for u, _ in pairs]), np.array([u for _, u in pairs])
+
+
 def rk4_integrate(field, y0, f1, f2, step):
     """Fixed-step classical RK4 from f1 to f2 over an ndarray state."""
     y = np.array(y0, dtype=float)

@@ -15,15 +15,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import reference_config
-from properties import rel_scalar, riccati_rhs
+from conftest import omega11, omega22, reference_config
+from properties import feedback_along, rel_scalar, riccati_rhs
 from tadgame.game import propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
 from tadgame.orbital_core import (
     ReferenceOrbit,
     eccentric_to_true,
-    omega11,
-    omega22,
     phi,
     phi_inv,
     rho,
@@ -154,11 +152,16 @@ def test_criterion_7(ref_config, analytical_run, numerical_run):
     nu_want = -weights.sda @ traj.x_da[-1]
     assert np.linalg.norm(traj.lam[-1] - lam_want) / np.linalg.norm(lam_want) <= 1e-6
     assert np.linalg.norm(traj.nu[-1] - nu_want) / np.linalg.norm(nu_want) <= 1e-6
-    scale = orbit.beta / rho(orbit, traj.grid) ** 3
-    u_a = -(scale[:, None] / weights.r_a) * (traj.lam - traj.nu)[:, 3:6]
-    u_d = (scale[:, None] / weights.r_d) * traj.nu[:, 3:6]
-    assert np.abs(u_a - traj.u_a).max() / np.abs(traj.u_a).max() <= 1e-8
-    assert np.abs(u_d - traj.u_d).max() / np.abs(traj.u_d).max() <= 1e-8
+    # the trajectory takes its controls from the costates; the feedback form
+    # is computed here from riccati_p and the states, at the first node,
+    # twenty evenly spread interior nodes and the node next to ff
+    n = ref_config.n_steps
+    nodes = np.r_[0, np.arange(25, n - 1, 50), n - 1]
+    u_a, u_d = feedback_along(
+        traj, lambda f: riccati_p(orbit, weights, f, ref_config.ff),
+        orbit.e, orbit.beta, weights.r_a, weights.r_d, nodes)
+    assert np.abs(u_a - traj.u_a[nodes]).max() / np.abs(traj.u_a).max() <= 1e-8
+    assert np.abs(u_d - traj.u_d[nodes]).max() / np.abs(traj.u_d).max() <= 1e-8
 
     # quadratic winning test vs full propagation, 100 defender placements
     sets = TerminalSets(r1=ref_config.r1, r2=ref_config.r2)

@@ -171,6 +171,22 @@ class TestExitCodes:
         assert err.startswith("riccati.SingularFactor:")
         assert "f=0" in err
 
+    def test_conjugate_point_between_nodes(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, r_a="5e7", r_d="1e10", s_dar="1000.0", s_dav="1000.0")
+        code, _, err = run(["simulate", path, "--method", "analytical"], capsys)
+        assert code == 3
+        assert err.startswith("riccati.SingularFactor:") and "conjugate point" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "100", "-1"])
+    def test_ellipsoid_anomaly_outside_horizon(self, tmp_path, capsys, value):
+        out_path = tmp_path / "ell.csv"
+        code, _, err = run(
+            ["ellipsoids", "reference", "--f-list", f"1.0,{value}", "--out", str(out_path)], capsys
+        )
+        assert code == 2
+        assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_numerical_blowup(self, tmp_path, capsys):
         path = scenario_file(tmp_path, r_d="1.0", s_dar="100.0", s_dav="100.0")
         code, _, err = run(["simulate", path, "--method", "numerical"], capsys)

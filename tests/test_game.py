@@ -7,14 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import reference_config, reference_orbit, reference_weights
-from properties import max_rel
-from tadgame.game import (
-    Trajectory,
-    _d_grid,
-    _feedback_controls,
-    cost,
-    propagate_analytical,
-)
+from properties import feedback_along, feedback_controls, max_rel
+from tadgame.game import Trajectory, _d_grid, cost, propagate_analytical
 from tadgame.numerical_baseline import _a_rows, _w_rows
 from tadgame.orbital_core import rho
 from tadgame.riccati import riccati_p
@@ -154,7 +148,8 @@ class TestNashControls:
     def test_zero_state_zero_control(self):
         cfg = reference_config()
         p = riccati_p(ORBIT, WEIGHTS, 1.0, cfg.ff)
-        u_a, u_d = _feedback_controls(ORBIT, WEIGHTS, p, np.zeros(6), np.zeros(6), 1.0)
+        u_a, u_d = feedback_controls(ORBIT.e, 1.0, ORBIT.beta, WEIGHTS.r_a, WEIGHTS.r_d,
+                                     p, np.zeros(6), np.zeros(6))
         assert np.all(u_a == 0.0) and np.all(u_d == 0.0)
 
     def test_stationarity(self):
@@ -164,7 +159,8 @@ class TestNashControls:
         p = riccati_p(ORBIT, WEIGHTS, f, cfg.ff)
         rng = np.random.default_rng(81)
         x_a, x_da = rng.standard_normal(6), rng.standard_normal(6)
-        u_a, u_d = _feedback_controls(ORBIT, WEIGHTS, p, x_a, x_da, f)
+        u_a, u_d = feedback_controls(ORBIT.e, f, ORBIT.beta, WEIGHTS.r_a, WEIGHTS.r_d,
+                                     p, x_a, x_da)
         y = np.concatenate([x_a, x_da])
         lam_nu = p @ y
         lam, nu = lam_nu[:6], lam_nu[6:]
@@ -182,15 +178,18 @@ class TestNashControls:
         assert max_rel(traj.u_d[0], traj_num.u_d[0]) < 1e-5
 
     def test_costate_form_matches_feedback_form(self, analytical_run):
-        # the two algebraic forms of the strategies agree along the
-        # equilibrium trajectory at every node
+        # the trajectory's controls come from the costates; the feedback
+        # form computed here from P(f) and the states must agree with them
+        # at sampled nodes, the first one and the one next to ff included
         cfg = reference_config()
         traj, _ = analytical_run
-        scale = ORBIT.beta / rho(ORBIT, traj.grid) ** 3
-        u_a = -(scale[:, None] / WEIGHTS.r_a) * (traj.lam - traj.nu)[:, 3:6]
-        u_d = (scale[:, None] / WEIGHTS.r_d) * traj.nu[:, 3:6]
-        assert np.abs(u_a - traj.u_a).max() / np.abs(traj.u_a).max() < 1e-8
-        assert np.abs(u_d - traj.u_d).max() / np.abs(traj.u_d).max() < 1e-8
+        rng = np.random.default_rng(83)
+        nodes = np.r_[0, np.sort(rng.choice(np.arange(1, 999), 20, replace=False)), 999]
+        u_a, u_d = feedback_along(
+            traj, lambda f: riccati_p(ORBIT, WEIGHTS, f, cfg.ff),
+            ORBIT.e, ORBIT.beta, WEIGHTS.r_a, WEIGHTS.r_d, nodes)
+        assert np.abs(u_a - traj.u_a[nodes]).max() / np.abs(traj.u_a).max() < 1e-8
+        assert np.abs(u_d - traj.u_d[nodes]).max() / np.abs(traj.u_d).max() < 1e-8
 
 
 class TestPropagateAnalytical:

@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from conftest import omega11, omega22
 from properties import kepler_bisect, max_rel, plant_matrix, rk4_integrate
 from tadgame.orbital_core import (
     ReferenceOrbit,
     eccentric_to_true,
-    omega11,
-    omega22,
     phi,
     phi_inv,
     rho,

@@ -1,12 +1,13 @@
-"""Antiderivative matrix, coupling integrals, transition blocks, and the
-closed-form feedback-gain solution."""
+"""Antiderivative matrix, coupling integrals, transition blocks, the
+singularity policy, and the closed-form feedback-gain solution."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 
+from conftest import c1, dense_blocks, kernel_blocks, omega11, reference_config
 from properties import (
     C_INDEX,
     FROZEN_C,
@@ -15,16 +16,21 @@ from properties import (
     rk4_integrate,
     riccati_rhs,
 )
+from tadgame.game import propagate_analytical
 from tadgame.orbital_core import ReferenceOrbit, phi, phi_inv, rho, true_to_eccentric
 from tadgame.riccati import (
     SingularFactor,
     WeightSet,
+    _checked_inverse,
+    _coupling,
+    _factor,
+    _kappa1,
+    _tables,
     _u_blocks_arrays,
-    c1,
     c_hat,
     riccati_p,
-    v_matrices,
 )
+from tadgame.winning import SingularBlock
 
 ORBIT = ReferenceOrbit(mu=398603.0, p=10000.0, e=0.1)
 WEIGHTS = WeightSet(r_a=5e9, r_d=3e9, s_ar=1.0, s_av=1.0, s_dar=0.001, s_dav=0.001)
@@ -43,6 +49,12 @@ def integrand_matrix(orb, f):
 
 def orbit_with(e):
     return ReferenceOrbit(mu=398603.0, p=10000.0, e=e)
+
+
+def v_matrices(orb, w, f2, f1):
+    """The coupling blocks (V1, V2) = (U12[0:6, 6:12], U12[6:12, 6:12])."""
+    u12 = dense_blocks(orb, w, f2, f1)[1]
+    return u12[0:6, 6:12], u12[6:12, 6:12]
 
 
 class TestWeightSet:
@@ -131,8 +143,6 @@ class TestCouplingIntegral:
         assert max_rel(c1(ORBIT, f2, f1), want) < 1e-7
 
     def test_split_through_midpoint(self):
-        from tadgame.orbital_core import omega11
-
         rng = np.random.default_rng(51)
         for _ in range(10):
             orb = orbit_with(rng.uniform(0.0, 0.6))
@@ -166,20 +176,30 @@ class TestVMatrices:
 
 class TestTransitionBlocks:
     def test_equal_anomaly_trivials(self):
-        u11, u12, u22 = _u_blocks_arrays(ORBIT, WEIGHTS, 0.9, 0.9)
+        u11, u12, u22 = dense_blocks(ORBIT, WEIGHTS, 0.9, 0.9)
         assert np.array_equal(u11, np.eye(12))
         assert np.array_equal(u12, np.zeros((12, 12)))
         assert np.array_equal(u22, np.eye(12))
 
     def test_coupling_block_layout(self):
         f2, f1 = 2.6, 0.4
-        u11, u12, u22 = _u_blocks_arrays(ORBIT, WEIGHTS, f2, f1)
+        m = _coupling(ORBIT, WEIGHTS)
+        n4 = ORBIT.n**4
+        assert m[0, 1] == m[1, 0] == -m[0, 0]
+        assert m[0, 1] * n4 == pytest.approx(1.0 / WEIGHTS.r_a, rel=1e-14)
+        assert m[1, 1] * n4 == pytest.approx(1.0 / WEIGHTS.r_d - 1.0 / WEIGHTS.r_a, rel=1e-14)
+        u11, u12, u22 = dense_blocks(ORBIT, WEIGHTS, f2, f1)
         v1, v2 = v_matrices(ORBIT, WEIGHTS, f2, f1)
         assert np.array_equal(u12[0:6, 6:12], u12[6:12, 0:6])
-        assert np.array_equal(u12[0:6, 6:12], v1)
         assert np.array_equal(u12[0:6, 0:6], -v1)
-        assert np.array_equal(u12[6:12, 6:12], v2)
+        assert np.allclose(v1, c1(ORBIT, f2, f1) / n4 / WEIGHTS.r_a, rtol=1e-14, atol=0.0)
         assert np.all(u11[0:6, 6:12] == 0.0) and np.all(u11[6:12, 0:6] == 0.0)
+        # the factor is filled block by block; it must equal U22 - S U12
+        # assembled as dense 12x12 arrays
+        _, o22, cc = kernel_blocks(ORBIT, f2, f1)
+        factor = _factor(ORBIT, WEIGHTS, o22, cc)
+        want = u22 - WEIGHTS.s_block @ u12
+        assert np.allclose(factor, want, rtol=1e-14, atol=0.0)
 
     def test_coupled_propagation_against_rk4(self):
         # the RK4 oracle integrates the full coupled flow, so a nonzero U21
@@ -190,12 +210,41 @@ class TestTransitionBlocks:
         field = lambda f, z: coupled_system_matrix(
             ORBIT.e, f, ORBIT.beta, WEIGHTS.r_a, WEIGHTS.r_d) @ z
         want = rk4_integrate(field, z0, f1, f2, math.pi / 1e4)
-        u11, u12, u22 = _u_blocks_arrays(ORBIT, WEIGHTS, f2, f1)
+        u11, u12, u22 = dense_blocks(ORBIT, WEIGHTS, f2, f1)
         got = np.concatenate([
             u11 @ z0[:12] + u12 @ z0[12:],
             u22 @ z0[12:],
         ])
         assert np.linalg.norm(got - want) / np.linalg.norm(want) < 1e-7
+
+
+class TestSingularityPolicy:
+    def test_kappa1_brackets_kappa2_on_reference_grid(self):
+        # ||.||_1 and ||.||_2 differ by at most sqrt(12) each way on 12x12
+        # matrices, so the two condition numbers differ by at most 12x
+        cfg = reference_config()
+        t = _tables(ORBIT, cfg.grid)
+        _, o22, cc = _u_blocks_arrays(t[-1], t)
+        factor = _factor(ORBIT, WEIGHTS, o22, cc)
+        inv, _ = _checked_inverse(factor, cfg.grid, SingularFactor, "factor")
+        kappa1 = _kappa1(factor, inv)
+        kappa2 = np.linalg.cond(factor)
+        assert np.all(kappa1 >= kappa2 / 12.0) and np.all(kappa1 <= 12.0 * kappa2)
+
+    def test_zero_block_in_stack(self):
+        fs = np.array([0.5, 1.0, 1.5, 2.0])
+        stack = np.stack([np.eye(3) * (k + 1.0) for k in range(4)])
+        stack[2] = 0.0
+        with pytest.raises(SingularBlock, match="numerically singular at f=") as info:
+            _checked_inverse(stack, fs, SingularBlock, "block")
+        assert info.value.f == 1.5
+        assert info.value.cond == math.inf
+
+    def test_returns_inverse_and_sign(self):
+        stack = np.array([np.diag([2.0, 4.0, 1.0]), np.diag([-1.0, 1.0, 1.0])])
+        inv, sign = _checked_inverse(stack, np.array([0.0, 1.0]), SingularBlock, "block")
+        assert np.allclose(inv @ stack, np.eye(3), rtol=0.0, atol=1e-15)
+        assert np.array_equal(sign, [1.0, -1.0])
 
 
 class TestFeedbackGain:
@@ -238,6 +287,25 @@ class TestFeedbackGain:
         assert exc.cond > 1e14
         assert exc.f == 0.0
         assert "singular" in str(exc)
+
+    def test_conjugate_point_between_nodes(self):
+        # det F changes sign inside the last grid interval while kappa_1
+        # stays below the threshold at every node
+        w = WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0, s_dar=1000.0, s_dav=1000.0)
+        cfg = reference_config(weights=w)
+        with pytest.raises(SingularFactor, match="conjugate point") as info:
+            propagate_analytical(cfg)
+        exc = info.value
+        assert cfg.ff - cfg.h_f <= exc.f < cfg.ff
+        assert exc.cond <= 1e14
+        # independent oracle: the Riccati equation integrated backward from
+        # ff escapes before it reaches the last grid node
+        orb = cfg.orbit
+        field = lambda f, y: riccati_rhs(
+            orb.e, f, orb.beta, w.r_a, w.r_d, y.reshape(12, 12)).ravel()
+        sol = solve_ivp(field, (cfg.ff, cfg.ff - cfg.h_f), w.s_block.ravel(),
+                        method="Radau", rtol=1e-8, atol=1e-10)
+        assert sol.status != 0 or np.abs(sol.y[:, -1]).max() > 1e6
 
     def test_solution_record(self):
         p = riccati_p(ORBIT, WEIGHTS, 0.5, 2.0 * math.pi)

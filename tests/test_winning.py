@@ -301,6 +301,16 @@ class TestEllipsoid:
         assert inside <= 0.0
         assert outside > 0.0
 
+    def test_rejects_anomaly_outside_horizon(self, ref_config):
+        for f in (ref_config.ff + 1e-9, 100.0, ref_config.f0 - 1.0, np.nan):
+            with pytest.raises(ValueError, match="outside the horizon"):
+                ellipsoid_at(ref_config, f, "S1")
+        with pytest.raises(ValueError, match="outside the horizon"):
+            g1(ref_config, 100.0, RD0_REF)
+        with pytest.raises(ValueError, match="outside the horizon"):
+            g2(ref_config, -1.0, RD0_REF)
+        ellipsoid_at(ref_config, ref_config.ff, "S2")
+
     def test_rejects_unknown_set(self, ref_config):
         with pytest.raises(ValueError):
             ellipsoid_at(ref_config, 1.0, "S3")
