@@ -14,7 +14,12 @@ import numpy as np
 
 from .orbital_core import ReferenceOrbit, rho
 from .riccati import (
-    WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays, riccati_p)
+    WeightSet, _chunks, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays, riccati_p)
+
+
+# most grid steps a scenario may ask for: memory grows with the grid (the
+# tables and the outputs take ~1.4 kB per node), so 10^6 steps need ~1.4 GB
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -24,7 +29,7 @@ class GameConfig:
     x_a0 is the pursuer state relative to the target, x_da0 the defender
     state relative to the pursuer, both 6-vectors in tilde coordinates
     (km, km/rad).  r1 and r2 are the capture and interception radii in km.
-    h_f must tile [f0, ff] exactly."""
+    h_f must tile [f0, ff] exactly, in at most _MAX_STEPS steps."""
 
     orbit: ReferenceOrbit
     weights: WeightSet
@@ -46,6 +51,9 @@ class GameConfig:
         if not self.h_f > 0:
             raise ValueError(f"h_f must be positive, got {self.h_f!r}")
         steps = (self.ff - self.f0) / self.h_f
+        if not steps < _MAX_STEPS + 0.5:
+            raise ValueError(f"grid step h_f={self.h_f!r} gives {steps:.6g} steps on "
+                             f"[f0, ff], more than the cap of {_MAX_STEPS}")
         if abs(steps - round(steps)) > 1e-6 or round(steps) < 1:
             raise ValueError(
                 f"grid step h_f={self.h_f!r} does not close on ff={self.ff!r} "
@@ -143,21 +151,24 @@ def propagate_analytical(config):
 
     One table evaluation on the grid gives every block: the factor is
     checked at every node and P(f0) taken from its inverse at the first,
-    states come from D(f) y0, costates from the costate transition blocks,
-    and the saddle-point controls from the costates,
+    then, one chunk of nodes at a time, states come from D(f) y0 and
+    costates from the costate transition blocks.  The saddle-point
+    controls come from the costates on the whole grid,
     u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v."""
     orbit, weights = config.orbit, config.weights
     grid = config.grid
     y0 = np.concatenate([config.x_a0, config.x_da0])
 
     t, p0 = _riccati_p_arrays(orbit, weights, grid, config.ff)
-    o11, o22, c1 = _u_blocks_arrays(t, t[0])
-    y = _propagator(orbit, weights, o11, c1, p0) @ y0
+    lam0 = (p0 @ y0).reshape(2, 6).T
+    y = np.empty((grid.size, 12))
+    costates = np.empty((grid.size, 6, 2))
+    for chunk in _chunks(grid.size):
+        o11, o22, c1 = _u_blocks_arrays(t[chunk], t[0])
+        y[chunk] = _propagator(orbit, weights, o11, c1, p0) @ y0
+        costates[chunk] = o22 @ lam0
     x_a = y[:, 0:6]
     x_da = y[:, 6:12]
-
-    lam0 = p0 @ y0
-    costates = o22 @ lam0.reshape(2, 6).T
     lam = costates[..., 0]
     nu = costates[..., 1]
 

@@ -328,31 +328,49 @@ def _factor(orbit, weights, o22, c1):
     return factor
 
 
+# grid nodes per pass of the grid loops: every 12x12 and 6x6 stack they
+# build lives for one chunk only (a 12x12 stack of 512 is 590 kB)
+_CHUNK = 512
+
+
+def _chunks(n):
+    """Slices that cover n grid nodes in order, _CHUNK nodes at a time."""
+    return [slice(k, min(k + _CHUNK, n)) for k in range(0, n, _CHUNK)]
+
+
 def _riccati_p_arrays(orbit, weights, f, ff):
     """Closed form at the anomaly array (or scalar) f for the horizon ending
     at ff: the tables at f, and P = F^-1 S U11 at the first node of f as a
     12x12 array.
 
-    The factor F (see _factor) is checked at every node: SingularFactor is
-    raised where _checked_inverse raises, and where det F <= 0.  F(ff) = I,
-    so a nonpositive determinant at f proves a conjugate point in (f, ff],
-    and the largest such node f_k brackets one in (f_k, f_k+1]."""
+    The factor F (see _factor) is checked at every node, in grid order and
+    one chunk at a time: SingularFactor is raised where _checked_inverse
+    raises, and where det F <= 0.  F(ff) = I, so a nonpositive determinant
+    at f proves a conjugate point in (f, ff], and the largest such node f_k
+    brackets one in (f_k, f_k+1]."""
     t = _tables(orbit, f)
-    o11, o22, c1 = _u_blocks_arrays(_tables(orbit, ff), t)
-    factor = _factor(orbit, weights, o22, c1).reshape(-1, 12, 12)
+    nodes = t.reshape(-1)
+    tff = _tables(orbit, ff)
     what = "factor U22 - S U12"
-    inv, sign = _checked_inverse(factor, t["f"], SingularFactor, what)
-    nonpos = np.flatnonzero(sign < 0)
-    if nonpos.size:
-        k = nonpos[-1]
-        fs = np.append(t["f"], ff)
+    last_nonpos = None
+    for chunk in _chunks(nodes.size):
+        o11, o22, c1 = _u_blocks_arrays(tff, nodes[chunk])
+        factor = _factor(orbit, weights, o22, c1)
+        inv, sign = _checked_inverse(factor, nodes[chunk]["f"], SingularFactor, what)
+        if chunk.start == 0:
+            o11_0, inv_0 = o11[0], inv[0]
+        nonpos = np.flatnonzero(sign < 0)
+        if nonpos.size:
+            j = nonpos[-1]
+            last_nonpos = (chunk.start + j, float(_kappa1(factor[j], inv[j])))
+    if last_nonpos is not None:
+        k, cond = last_nonpos
+        fs = np.append(nodes["f"], ff)
         raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
-                             f"({fs[k]:.9g}, {fs[k + 1]:.9g}]",
-                             f=float(fs[k]), cond=float(_kappa1(factor[k], inv[k])))
-    o11 = o11.reshape(-1, 6, 6)[0]
+                             f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
     s = np.diag(weights.s_block)
-    p = np.concatenate([inv[0, :, :6] @ (s[:6, None] * o11),
-                        inv[0, :, 6:] @ (s[6:, None] * o11)], axis=1)
+    p = np.concatenate([inv_0[:, :6] @ (s[:6, None] * o11_0),
+                        inv_0[:, 6:] @ (s[6:, None] * o11_0)], axis=1)
     return t, p
 
 

@@ -153,6 +153,7 @@ class TestExitCodes:
         ("mu", "inf"),
         ("p", "1e-300"),
         ("ff", "inf"),
+        ("h_f", "6.283185307179586e-08"),  # tiles [f0, ff] in 10^8 steps, past the cap
     ])
     def test_non_finite_scenario_value(self, tmp_path, capsys, key, value):
         path = scenario_file(tmp_path, **{key: value})

@@ -1,13 +1,15 @@
 """Scenario model, feedback strategies, closed-form propagation, and cost."""
 
 import math
-from dataclasses import replace
+import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import reference_config, reference_orbit, reference_weights
 from properties import feedback_along, feedback_controls, max_rel
+from tadgame import riccati
 from tadgame.game import Trajectory, _d_grid, cost, propagate_analytical
 from tadgame.numerical_baseline import _a_rows, _w_rows
 from tadgame.orbital_core import rho
@@ -44,6 +46,7 @@ class TestGameConfig:
         dict(x_da0=np.array([0.0, 0.001, 0, 0, 0, 0])),  # starts intercepted
         dict(ff=math.inf),
         dict(f0=-math.inf),
+        dict(h_f=2.0 * np.pi / 2_000_000),    # tiles, but past the 10^6-step cap
     ])
     def test_rejects_invalid(self, overrides):
         with pytest.raises(ValueError):
@@ -227,19 +230,38 @@ class TestPropagateAnalytical:
         assert np.linalg.norm(traj.lam[-1] - lam_want) / np.linalg.norm(lam_want) < 1e-6
         assert np.linalg.norm(traj.nu[-1] - nu_want) / np.linalg.norm(nu_want) < 1e-6
 
-    def test_pointwise_grid_independence(self):
+    @pytest.mark.parametrize("chunk", [riccati._CHUNK, 10])
+    def test_pointwise_grid_independence(self, monkeypatch, analytical_run, chunk):
         # the closed-form states are pointwise; refining the grid must not
-        # move shared nodes, and the cost quadrature converges at second order
+        # move shared nodes, and the cost quadrature converges at second order.
+        # Nor may the chunk size move any bit: at 10, the reference grid and
+        # the two finer grids here end in a one-node chunk at ff
         base = reference_config(ff=np.pi / 4.0)
-        costs, terminals = [], []
-        for div in (1, 2, 4):
-            cfg = reference_config(ff=np.pi / 4.0, h_f=base.h_f / div)
-            t = propagate_analytical(cfg)
-            costs.append(t.cost)
-            terminals.append(np.concatenate([t.x_a[-1], t.x_da[-1]]))
+        configs = [reference_config(ff=np.pi / 4.0, h_f=base.h_f / div) for div in (1, 2, 4)]
+        wants = [propagate_analytical(cfg) for cfg in configs]
+        monkeypatch.setattr(riccati, "_CHUNK", chunk)
+        for cfg, want in [(reference_config(), analytical_run[0]), *zip(configs, wants)]:
+            got = propagate_analytical(cfg)
+            for field in fields(Trajectory):
+                assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+        costs = [t.cost for t in wants]
+        terminals = [np.concatenate([t.x_a[-1], t.x_da[-1]]) for t in wants]
         assert np.linalg.norm(terminals[0] - terminals[1]) <= 1e-9 * np.linalg.norm(terminals[1])
         ratio = (costs[0] - costs[1]) / (costs[1] - costs[2])
         assert 3.5 < ratio < 4.5
+
+    def test_peak_memory_per_node(self):
+        # every 12x12 and 6x6 stack lives for one chunk only, so on the
+        # 10-revolution grid the peak is the tables and the outputs
+        cfg = reference_config(ff=20.0 * np.pi)
+        propagate_analytical(cfg)
+        tracemalloc.start()
+        try:
+            propagate_analytical(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / 1024.0 / cfg.grid.size <= 1.5
 
 
 class TestCost:

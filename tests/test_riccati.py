@@ -16,6 +16,7 @@ from properties import (
     rk4_integrate,
     riccati_rhs,
 )
+from tadgame import riccati
 from tadgame.game import propagate_analytical
 from tadgame.orbital_core import ReferenceOrbit, phi, phi_inv, rho, true_to_eccentric
 from tadgame.riccati import (
@@ -278,24 +279,42 @@ class TestFeedbackGain:
             want = riccati_rhs(ORBIT.e, f, ORBIT.beta, WEIGHTS.r_a, WEIGHTS.r_d, mid)
             assert np.linalg.norm(fd - want) <= 1e-4 * np.linalg.norm(mid)
 
-    def test_singular_factor_reported(self):
-        # a strongly-weighted defender drives the inverted factor singular
+    @pytest.mark.parametrize("chunk", [riccati._CHUNK, 10])
+    def test_singular_factor_reported(self, monkeypatch, chunk):
+        # a strongly-weighted defender drives the inverted factor singular;
+        # on the grid the first chunk raises at f0 whatever the chunk size
         w = WeightSet(r_a=5e9, r_d=1.0, s_ar=1.0, s_av=1.0, s_dar=100.0, s_dav=100.0)
+        cfg = reference_config(weights=w)
+        with pytest.raises(SingularFactor) as want:
+            propagate_analytical(cfg)
+        monkeypatch.setattr(riccati, "_CHUNK", chunk)
         with pytest.raises(SingularFactor) as exc_info:
             riccati_p(ORBIT, w, 0.0, 2.0 * math.pi)
         exc = exc_info.value
         assert exc.cond > 1e14
         assert exc.f == 0.0
         assert "singular" in str(exc)
+        with pytest.raises(SingularFactor) as got:
+            propagate_analytical(cfg)
+        assert got.value.f == 0.0
+        assert (got.value.cond, str(got.value)) == (want.value.cond, str(want.value))
 
-    def test_conjugate_point_between_nodes(self):
+    @pytest.mark.parametrize("chunk", [riccati._CHUNK, 10])
+    def test_conjugate_point_between_nodes(self, monkeypatch, chunk):
         # det F changes sign inside the last grid interval while kappa_1
-        # stays below the threshold at every node
+        # stays below the threshold at every node.  At a chunk size of 10,
+        # node 999 closes a chunk and ff sits alone in the last one, and the
+        # error must not change
         w = WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0, s_dar=1000.0, s_dav=1000.0)
         cfg = reference_config(weights=w)
+        with pytest.raises(SingularFactor, match="conjugate point") as want:
+            propagate_analytical(cfg)
+        monkeypatch.setattr(riccati, "_CHUNK", chunk)
         with pytest.raises(SingularFactor, match="conjugate point") as info:
             propagate_analytical(cfg)
         exc = info.value
+        assert (exc.f, exc.cond, str(exc)) == (want.value.f, want.value.cond, str(want.value))
+        assert str(exc).endswith(f", {cfg.ff:.9g}]")
         assert cfg.ff - cfg.h_f <= exc.f < cfg.ff
         assert exc.cond <= 1e14
         # independent oracle: the Riccati equation integrated backward from
