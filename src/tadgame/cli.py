@@ -6,8 +6,9 @@ outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
 Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
-number, or an ellipsoids anomaly outside [f0, ff], included), 3 singular
-or blown-up computation, 4 violated wincheck precondition.
+number, an ellipsoids anomaly outside [f0, ff] and an output path that
+cannot be written included), 3 singular or blown-up computation, 4
+violated wincheck precondition.
 """
 
 import argparse
@@ -387,8 +388,9 @@ def build_parser():
             "(weights), xa0/xda0 (6 comma-separated, km and km/rad, tilde frame), "
             "R1/R2 (km). A bare scenario name (e.g. reference) loads a packaged scenario."
         ),
-        epilog="Exit codes: 0 ok, 2 scenario/config error, 3 singular/blown-up "
-               "computation, 4 violated wincheck precondition.",
+        epilog="Exit codes: 0 ok, 2 scenario/config error or unwritable output "
+               "path, 3 singular/blown-up computation, 4 violated wincheck "
+               "precondition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -447,6 +449,9 @@ def main(argv=None):
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"{module}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an output path that cannot be written
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -27,20 +27,6 @@ class NumericalBlowup(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Rk4Settings:
-    """Fixed-step integrator configuration."""
-
-    step: float
-    direction: str
-
-    def __post_init__(self):
-        if not self.step > 0:
-            raise ValueError(f"step must be positive, got {self.step!r}")
-        if self.direction not in ("forward", "backward"):
-            raise ValueError(f"direction must be forward or backward, got {self.direction!r}")
-
-
-@dataclass(frozen=True)
 class PGrid:
     """Riccati solution stored per node on the descending grid ff -> f0.
 
@@ -132,7 +118,7 @@ def _terminal_p(weights):
     return s
 
 
-def integrate_riccati_backward(config, settings=None):
+def integrate_riccati_backward(config, step=None):
     """Integrate P' = W22 P - P W11 - P W12 P backward from ff to f0,
     storing P at every grid node.
 
@@ -140,12 +126,13 @@ def integrate_riccati_backward(config, settings=None):
     condition P(ff) = diag(Sa, -Sda) sits in a boundary layer whose width
     shrinks like r_a/beta^2, so each grid interval is tiled with enough
     equal RK4 sub-steps to bring the integrator inside its stability
-    region (default step h_f/16).  Raises NumericalBlowup when any P
-    entry passes 1e15 in magnitude."""
-    if settings is None:
-        settings = Rk4Settings(step=config.h_f / 16.0, direction="backward")
-    if settings.direction != "backward":
-        raise ValueError("Riccati integration runs backward from the terminal anomaly")
+    region: an even count per interval, of about step each (default
+    h_f/16; a nonpositive step raises ValueError).  Raises NumericalBlowup
+    when any P entry passes 1e15 in magnitude."""
+    if step is None:
+        step = config.h_f / 16.0
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step!r}")
     orbit = config.orbit
     weights = config.weights
 
@@ -162,7 +149,7 @@ def integrate_riccati_backward(config, settings=None):
 
     nodes = config.grid[::-1]
     # even sub-step count so the sweep lands exactly on interval midpoints
-    n_sub = max(2, 2 * int(round(config.h_f / settings.step / 2.0)))
+    n_sub = max(2, 2 * int(round(config.h_f / step / 2.0)))
     pflat = [x for row in _terminal_p(weights) for x in row]
     stored = [pflat]
     mids = []
@@ -221,8 +208,7 @@ def _controls_from_p(orbit, weights, pflat, xa, xda, f):
     return u_a, u_d
 
 
-def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None,
-                       settings=None):
+def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     """Forward closed-loop simulation against the stored Riccati grid.
 
     Runge-Kutta mid-stages sample the stored interval-midpoint P when the
@@ -230,10 +216,6 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None,
     otherwise.  Optional per-node open-loop control offsets (shape
     (N+1, 3)) are added to a player's feedback control, interpolated
     linearly; they exist for equilibrium-deviation studies."""
-    if settings is None:
-        settings = Rk4Settings(step=config.h_f, direction="forward")
-    if settings.direction != "forward":
-        raise ValueError("the closed-loop simulation runs forward from f0")
     orbit = config.orbit
     weights = config.weights
     e = orbit.e

@@ -3,11 +3,12 @@ conditions of the pursuit game for hovering initial states.
 
 For zero initial velocities the anomaly-by-anomaly capture and interception
 conditions reduce to quadratics in the defender's initial position, i.e.
-ellipsoid membership tests built from position sub-blocks of the D matrix.
+ellipsoid membership tests built from position sub-blocks of the D matrix
+(ellipsoid_at).  At one placement each quadratic is a squared propagated
+distance minus a squared radius, which is how the grid scan reads them.
 """
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,85 +112,60 @@ def _require_hovering(config):
         )
 
 
-def _set_pieces(config, f, d, which):
-    """Gram matrix, center offset and inverted position block of one
-    quadratic, from the D matrix d built at the scalar or grid anomaly f.
+def ellipsoid_at(config, f, which):
+    """Explicit ellipsoid record of the capture ("S1") or interception
+    ("S2") set at anomaly f in [f0, ff], for a hovering scenario.
 
-    which=1 builds the capture quadratic from (D11rr, D12rr), which=2 the
-    interception quadratic from (D21rr, D22rr).  The center offset is
-    r_tilde = Ra0 - own^-1 cross Ra0, own being the inverted block."""
-    rows = slice(0, 3) if which == 1 else slice(6, 9)
-    own = d[..., rows, 6:9]
-    cross = d[..., rows, 0:3]
-    label = "capture" if which == 1 else "interception"
-    own_inv, _ = _checked_inverse(own, f, SingularBlock, f"position block of the {label} condition")
-    gram = np.swapaxes(own, -1, -2) @ own
-    ra0 = config.x_a0[:3]
-    center = ra0 - (own_inv @ (cross @ ra0)[..., None])[..., 0]
-    return gram, center, own
-
-
-def _pieces_at(config, f, which):
-    """_set_pieces at one anomaly f in [f0, ff], for a hovering scenario."""
+    S1 is built from (D11rr, D12rr), S2 from (D21rr, D22rr), with D built at
+    f.  The Gram matrix is own^T own and the center offset is
+    r_tilde = Ra0 - own^-1 cross Ra0, own being the block that the defender
+    initial position enters through (D12rr or D22rr)."""
+    if which not in ("S1", "S2"):
+        raise ValueError(f'which must be "S1" or "S2", got {which!r}')
     _require_hovering(config)
     f = float(f)
     if not config.f0 <= f <= config.ff:
         raise ValueError(f"anomaly f={f!r} lies outside the horizon [{config.f0!r}, {config.ff!r}]")
-    return _set_pieces(config, f, _d_grid(config, f), which)
-
-
-def _quadratic(gram, center, rd0):
-    diff_free = np.einsum("...i,...ij,...j->...", rd0, gram, rd0)
-    cross = np.einsum("...i,...ij,...j->...", center, gram, rd0)
-    offs = np.einsum("...i,...ij,...j->...", center, gram, center)
-    return diff_free - 2.0 * cross + offs
+    rows = slice(0, 3) if which == "S1" else slice(6, 9)
+    d = _d_grid(config, f)
+    own = d[rows, 6:9]
+    cross = d[rows, 0:3]
+    label = "capture" if which == "S1" else "interception"
+    own_inv, _ = _checked_inverse(own, f, SingularBlock, f"position block of the {label} condition")
+    ra0 = config.x_a0[:3]
+    radius = config.r1 if which == "S1" else config.r2
+    return Ellipsoid(g=own.T @ own, center_offset=ra0 - own_inv @ (cross @ ra0),
+                     radius=float(radius), m=own)
 
 
 def g1(config, f, rd0):
     """Capture quadratic at anomaly f for defender initial position rd0.
 
     Nonpositive values mean the pursuer reaches the capture ball at f."""
-    gram, center, _ = _pieces_at(config, f, 1)
-    return float(_quadratic(gram, center, np.asarray(rd0, dtype=float)) - config.r1**2)
+    return float(ellipsoid_at(config, f, "S1").q(rd0))
 
 
 def g2(config, f, rd0):
     """Interception quadratic at anomaly f for defender initial position rd0.
 
     Positive values mean the defender has not reached the pursuer at f."""
-    gram, center, _ = _pieces_at(config, f, 2)
-    return float(_quadratic(gram, center, np.asarray(rd0, dtype=float)) - config.r2**2)
-
-
-def _scan_tables(config):
-    """Precompute per-node Gram matrices and centers over the open grid
-    (f0, ff] for batch evaluation of the two quadratics."""
-    _require_hovering(config)
-    fs = config.grid[1:]
-    d = _d_grid(config, fs)
-    g1m, c1, _ = _set_pieces(config, fs, d, 1)
-    g2m, c2, _ = _set_pieces(config, fs, d, 2)
-    return {"f": fs, "g1": g1m, "c1": c1, "g2": g2m, "c2": c2,
-            "r1": config.r1, "r2": config.r2}
-
-
-def _scan_values(tables, rd0):
-    """(g1, g2) arrays over the scan grid for one defender position."""
-    rd0 = np.asarray(rd0, dtype=float)
-    v1 = _quadratic(tables["g1"], tables["c1"], rd0) - tables["r1"] ** 2
-    v2 = _quadratic(tables["g2"], tables["c2"], rd0) - tables["r2"] ** 2
-    return v1, v2
+    return float(ellipsoid_at(config, f, "S2").q(rd0))
 
 
 def scan_quadratics(config):
     """Both quadratics sampled over the grid after f0.
 
-    Returns (f, g1_values, g2_values) arrays over (f0, ff] for the
-    configured defender initial position."""
-    tables = _scan_tables(config)
-    rd0 = config.x_a0[:3] + config.x_da0[:3]
-    v1, v2 = _scan_values(tables, rd0)
-    return tables["f"], v1, v2
+    At one placement each quadratic is a squared propagated distance minus
+    the squared radius, g1 = |x_a(f)|^2 - R1^2 and g2 = |x_da(f)|^2 - R2^2,
+    so the scan reads them from the positions D(f) y0.  Returns
+    (f, g1_values, g2_values) arrays over (f0, ff] for the configured
+    defender initial position."""
+    _require_hovering(config)
+    fs = config.grid[1:]
+    y = _d_grid(config, fs) @ np.concatenate([config.x_a0, config.x_da0])
+    v1 = np.sum(y[:, 0:3] ** 2, axis=1) - config.r1**2
+    v2 = np.sum(y[:, 6:9] ** 2, axis=1) - config.r2**2
+    return fs, v1, v2
 
 
 def attacker_wins(config):
@@ -213,12 +189,3 @@ def winning_set_membership(config, rd0):
     wins, _ = attacker_wins(config.with_defender_position(rd0))
     return wins
 
-
-def ellipsoid_at(config, f, which):
-    """Explicit ellipsoid record of the capture ("S1") or interception
-    ("S2") set at anomaly f, for geometric export."""
-    if which not in ("S1", "S2"):
-        raise ValueError(f'which must be "S1" or "S2", got {which!r}')
-    gram, center, own = _pieces_at(config, f, 1 if which == "S1" else 2)
-    radius = config.r1 if which == "S1" else config.r2
-    return Ellipsoid(g=gram, center_offset=center, radius=float(radius), m=own)

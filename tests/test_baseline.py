@@ -12,7 +12,6 @@ from tadgame.game import propagate_analytical
 from tadgame.numerical_baseline import (
     NumericalBlowup,
     PGrid,
-    Rk4Settings,
     integrate_riccati_backward,
     rk4_step,
     simulate_numerical,
@@ -72,12 +71,11 @@ class TestRk4Step:
 
 class TestRecords:
     def test_settings_validation(self):
-        with pytest.raises(ValueError):
-            Rk4Settings(step=0.0, direction="backward")
-        with pytest.raises(ValueError):
-            Rk4Settings(step=1e-3, direction="sideways")
-        s = Rk4Settings(step=1e-3, direction="backward")
-        assert s.step == 1e-3
+        # a nonpositive or NaN sub-step is refused before the sweep starts
+        cfg = reference_config()
+        for step in (0.0, -1e-3, float("nan")):
+            with pytest.raises(ValueError, match="step must be positive"):
+                integrate_riccati_backward(cfg, step=step)
 
     def test_pgrid_validation(self):
         grid = np.linspace(1.0, 0.0, 11)
@@ -111,7 +109,7 @@ class TestBackwardSweep:
         # recorded half-step values vs the closed form; a node-value lerp
         # would miss by 1e-2 next to the terminal layer and ~1e-4 elsewhere
         cfg = reference_config(ff=np.pi / 4.0)
-        pgrid = integrate_riccati_backward(cfg, Rk4Settings(step=cfg.h_f / 8.0, direction="backward"))
+        pgrid = integrate_riccati_backward(cfg, step=cfg.h_f / 8.0)
         for k in (1, 10, 50, 124):
             f_mid = pgrid.grid[k] - cfg.h_f / 2.0
             want = riccati_p(ORBIT, WEIGHTS, f_mid, cfg.ff)
@@ -123,7 +121,7 @@ class TestBackwardSweep:
         # outside the stability region and must be reported, not returned
         cfg = reference_config(ff=np.pi / 4.0)
         with pytest.raises(NumericalBlowup) as info:
-            integrate_riccati_backward(cfg, Rk4Settings(step=cfg.h_f, direction="backward"))
+            integrate_riccati_backward(cfg, step=cfg.h_f)
         assert np.isfinite(info.value.f)
 
     def test_convergence_order(self):
@@ -133,7 +131,7 @@ class TestBackwardSweep:
         errs = []
         for div in (1, 2, 4):
             cfg = reference_config(ff=np.pi / 4.0, h_f=np.pi / 500.0 / div, weights=w)
-            pgrid = integrate_riccati_backward(cfg, Rk4Settings(step=cfg.h_f, direction="backward"))
+            pgrid = integrate_riccati_backward(cfg, step=cfg.h_f)
             want = riccati_p(ORBIT, w, cfg.f0, cfg.ff)
             errs.append(np.abs(pgrid.p[-1] - want).max() / np.abs(want).max())
         order = np.polyfit(np.log([1.0, 2.0, 4.0]), -np.log(errs), 1)[0]
@@ -153,7 +151,7 @@ class TestSimulate:
         errs = []
         for div in (1, 2, 4):
             cfg = reference_config(ff=np.pi / 4.0, h_f=np.pi / 500.0 / div)
-            pgrid = integrate_riccati_backward(cfg, Rk4Settings(step=cfg.h_f / 8.0, direction="backward"))
+            pgrid = integrate_riccati_backward(cfg, step=cfg.h_f / 8.0)
             traj = simulate_numerical(cfg, pgrid)
             exact = propagate_analytical(cfg)
             got = np.concatenate([traj.x_a[-1], traj.x_da[-1]])
@@ -176,12 +174,6 @@ class TestSimulate:
 
     # the validation tests need no real sweep: a zero-filled grid of the
     # right (or wrong) length reaches the same checks
-    def test_rejects_backward_settings(self):
-        cfg = reference_config(ff=np.pi / 10.0)
-        pgrid = zero_pgrid(cfg.grid)
-        with pytest.raises(ValueError, match="runs forward"):
-            simulate_numerical(cfg, pgrid, settings=Rk4Settings(step=cfg.h_f, direction="backward"))
-
     def test_rejects_bad_deviation_shape(self):
         cfg = reference_config(ff=np.pi / 10.0)
         pgrid = zero_pgrid(cfg.grid)

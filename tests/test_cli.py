@@ -188,6 +188,18 @@ class TestExitCodes:
         assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "reference", "--out-traj"],
+        ["wincheck", "reference", "--out"],
+        ["sweep-e", "reference", "--e-list", "0.1", "--out"],
+    ], ids=["simulate", "wincheck", "sweep-e"])
+    def test_unwritable_output_path(self, tmp_path, capsys, argv):
+        out_path = tmp_path / "no-such-dir" / "out.csv"
+        code, _, err = run(argv + [str(out_path)], capsys)
+        assert code == 2
+        assert err.startswith("FileNotFoundError:") and err.count("\n") == 1
+        assert not out_path.parent.exists()
+
     def test_numerical_blowup(self, tmp_path, capsys):
         path = scenario_file(tmp_path, r_d="1.0", s_dar="100.0", s_dav="100.0")
         code, _, err = run(["simulate", path, "--method", "numerical"], capsys)

@@ -1,5 +1,7 @@
 """Outcome classification and the closed-form winning conditions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,6 @@ from tadgame.winning import (
     OutcomeTag,
     SingularBlock,
     TerminalSets,
-    _scan_tables,
-    _scan_values,
     attacker_wins,
     classify_outcome,
     ellipsoid_at,
@@ -24,6 +24,19 @@ from tadgame.winning import (
 )
 
 RD0_REF = np.array([-2.0, 0.0, 0.0])
+
+
+def placement_values(cfg, d, pts):
+    """(g1, g2) of the hovering placements pts (M, 3) from the propagated
+    positions D y0, for D of shape (..., 12, 12); each result is (M, ...)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    ra0 = cfg.x_a0[:3]
+    y0 = np.zeros((len(pts), 12))
+    y0[:, 0:3] = ra0
+    y0[:, 6:9] = pts - ra0
+    y = np.einsum("...ij,mj->m...i", d, y0)
+    return (np.sum(y[..., 0:3] ** 2, axis=-1) - cfg.r1**2,
+            np.sum(y[..., 6:9] ** 2, axis=-1) - cfg.r2**2)
 
 
 def synthetic_trajectory(dist_at, dist_da):
@@ -169,45 +182,37 @@ class TestScanAndWin:
 
 class TestQuadraticEquivalence:
     def test_against_propagated_positions(self, ref_config):
-        # both quadratics must equal the squared norms of the propagated
-        # position blocks, for a box of defender placements and a spread
-        # of anomalies
+        # both ellipsoid quadratics must equal the squared norms of the
+        # propagated position blocks, for a box of defender placements and
+        # a spread of anomalies
         cfg = ref_config
-        tables = _scan_tables(cfg)
         idx = np.arange(49, 1000, 50)
-        fs = tables["f"][idx]
-        d = _d_grid(cfg, fs)
-        ra0 = cfg.x_a0[:3]
+        fs = cfg.grid[1:][idx]
         side = np.linspace(-2.5, 2.5, 20)
         pts = RD0_REF + np.stack(
             np.meshgrid(side, side, side, indexing="ij"), axis=-1
         ).reshape(-1, 3)
+        direct1, direct2 = placement_values(cfg, _d_grid(cfg, fs), pts)
 
-        ra_f = np.einsum("kij,j->ki", d[:, 0:3, 0:3], ra0)[None] + np.einsum(
-            "kij,mj->mki", d[:, 0:3, 6:9], pts - ra0
-        )
-        direct1 = np.sum(ra_f**2, axis=-1) - cfg.r1**2
-        rda_f = np.einsum("kij,j->ki", d[:, 6:9, 0:3], ra0)[None] + np.einsum(
-            "kij,mj->mki", d[:, 6:9, 6:9], pts - ra0
-        )
-        direct2 = np.sum(rda_f**2, axis=-1) - cfg.r2**2
-
-        g1m, c1 = tables["g1"][idx], tables["c1"][idx]
-        g2m, c2 = tables["g2"][idx], tables["c2"][idx]
-
-        def batched(gram, center, rd0):
-            quad = np.einsum("mi,kij,mj->mk", rd0, gram, rd0)
-            cross = np.einsum("ki,kij,mj->mk", center, gram, rd0)
-            offs = np.einsum("ki,kij,kj->k", center, gram, center)
-            return quad - 2.0 * cross + offs[None]
-
-        v1 = batched(g1m, c1, pts) - tables["r1"] ** 2
-        v2 = batched(g2m, c2, pts) - tables["r2"] ** 2
+        v1 = np.stack([ellipsoid_at(cfg, f, "S1").q(pts) for f in fs], axis=1)
+        v2 = np.stack([ellipsoid_at(cfg, f, "S2").q(pts) for f in fs], axis=1)
 
         for got, want in ((v1, direct1), (v2, direct2)):
             err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
             assert err.max() < 1e-9
             assert np.array_equal(got <= 0.0, want <= 0.0)
+
+        # the grid scan reads the same squared distances that the full
+        # propagation reports, at every node and across eccentricities
+        for e in (0.0, 0.1, 0.5, 0.8):
+            cfg_e = replace(cfg, orbit=replace(cfg.orbit, e=e))
+            traj = propagate_analytical(cfg_e)
+            _, s1, s2 = scan_quadratics(cfg_e)
+            for got, want in ((s1, traj.dist_at[1:] ** 2 - cfg.r1**2),
+                              (s2, traj.dist_da[1:] ** 2 - cfg.r2**2)):
+                err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+                assert err.max() <= 1e-12
+                assert np.array_equal(got <= 0.0, want <= 0.0)
 
     def test_membership_agrees_with_propagation(self, ref_config, ref_sets):
         rng = np.random.default_rng(91)
@@ -236,19 +241,22 @@ class TestQuadraticEquivalence:
         keep = np.linalg.norm(pts - ref_config.x_a0[:3], axis=1) > ref_config.r2 + 1e-6
         pts = pts[keep]
 
-        def decide(tables, rd0):
-            v1, v2 = _scan_values(tables, rd0)
-            hits = v1 <= 0.0
-            if not np.any(hits):
-                return False
-            i = int(np.argmax(hits))
-            return bool(np.all(v2[: i + 1] > 0.0))
+        def verdicts(cfg):
+            # one batched D over the scan grid decides every placement
+            v1, v2 = placement_values(cfg, _d_grid(cfg, cfg.grid[1:]), pts)
+            out = []
+            for row1, row2 in zip(v1, v2):
+                hits = row1 <= 0.0
+                if not np.any(hits):
+                    out.append(False)
+                    continue
+                i = int(np.argmax(hits))
+                out.append(bool(np.all(row2[: i + 1] > 0.0)))
+            return np.array(out)
 
-        coarse = _scan_tables(ref_config)
-        fine = _scan_tables(reference_config(h_f=ref_config.h_f / 2.0))
-        flips = sum(
-            decide(coarse, rd0) != decide(fine, rd0) for rd0 in pts
-        )
+        coarse = verdicts(ref_config)
+        fine = verdicts(reference_config(h_f=ref_config.h_f / 2.0))
+        flips = int(np.sum(coarse != fine))
         assert flips / len(pts) < 0.05
 
 
@@ -283,17 +291,9 @@ class TestEllipsoid:
         e2 = ellipsoid_at(ref_config, fs[k], "S2")
         rng = np.random.default_rng(101)
         pts = RD0_REF + rng.uniform(-3.0, 3.0, size=(1000, 3))
-        tables = _scan_tables(ref_config)
-        for e, key_g, key_c, r in ((e1, "g1", "c1", ref_config.r1), (e2, "g2", "c2", ref_config.r2)):
-            gram = tables[key_g][k]
-            center = tables[key_c][k]
-            quad = (
-                np.einsum("mi,ij,mj->m", pts, gram, pts)
-                - 2.0 * np.einsum("i,ij,mj->m", center, gram, pts)
-                + center @ gram @ center
-                - r**2
-            )
-            assert np.allclose(e.q(pts), quad, rtol=1e-10, atol=1e-12)
+        direct = placement_values(ref_config, _d_grid(ref_config, fs[k]), pts)
+        for e, want in zip((e1, e2), direct):
+            assert np.allclose(e.q(pts), want, rtol=1e-10, atol=1e-12)
 
     def test_capture_set_bracket(self, ref_config):
         inside = ellipsoid_at(ref_config, 984 * ref_config.h_f, "S1").q(RD0_REF)
@@ -319,15 +319,11 @@ class TestEllipsoid:
 class TestRadiusLimits:
     def test_huge_capture_radius_dominates(self):
         cfg = reference_config(r1=15.0)
-        tables = _scan_tables(cfg)
         rng = np.random.default_rng(103)
         pts = RD0_REF + rng.uniform(-2.5, 2.5, size=(50, 3))
-        for k in (600, 800, 950):
-            sub = {**tables, "f": tables["f"][k], "g1": tables["g1"][k],
-                   "c1": tables["c1"][k], "g2": tables["g2"][k], "c2": tables["c2"][k]}
-            for rd0 in pts:
-                v1, _ = _scan_values(sub, rd0)
-                assert v1 < 0.0
+        for rd0 in pts:
+            _, v1, _ = scan_quadratics(cfg.with_defender_position(rd0))
+            assert np.all(v1[[600, 800, 950]] < 0.0)
 
     def test_vanishing_interception_radius(self):
         cfg = reference_config(r2=1e-9)
