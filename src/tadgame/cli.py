@@ -6,9 +6,10 @@ outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
 Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
-number, an ellipsoids anomaly outside [f0, ff] and an output path that
-cannot be written included), 3 singular or blown-up computation, 4
-violated wincheck precondition.
+number or --rd0 component, an ellipsoids anomaly outside [f0, ff] and an
+output path that cannot be written, which is checked before any work,
+included), 3 singular or blown-up computation, 4 violated wincheck
+precondition.
 """
 
 import argparse
@@ -258,6 +259,8 @@ def cmd_wincheck(args):
             rd0 = [float(s) for s in parts]
         except ValueError:
             raise ScenarioError(f"--rd0 is not numeric: {args.rd0!r}")
+        if not all(np.isfinite(rd0)):
+            raise ScenarioError(f"--rd0 must be finite: {args.rd0!r}")
         try:
             config = config.with_defender_position(rd0)
         except ValueError as exc:
@@ -432,9 +435,22 @@ def build_parser():
     return parser
 
 
+def _check_writable(path):
+    """Raise the OSError that writing path would raise, before any work;
+    a file this check creates is removed again."""
+    existed = os.path.exists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        for path in (getattr(args, n, None) for n in ("out", "out_traj", "out_summary")):
+            if path:
+                _check_writable(path)
         return args.func(args)
     except ScenarioError as exc:
         print(f"cli.ScenarioError: {exc}", file=sys.stderr)

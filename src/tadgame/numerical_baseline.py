@@ -7,9 +7,10 @@ module is the independent verification route and the benchmark baseline,
 so it shares no linear algebra with the closed-form path.
 """
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,22 +29,19 @@ class NumericalBlowup(RuntimeError):
 
 @dataclass(frozen=True)
 class PGrid:
-    """Riccati solution stored per node on the descending grid ff -> f0.
-
-    p_mid optionally holds the interval-midpoint values captured during
-    the same backward sweep.  The closed-loop simulation samples them at
-    its Runge-Kutta mid-stages; without them it falls back to linear
-    interpolation, which loses accuracy inside the terminal boundary
-    layer of P."""
+    """Riccati solution stored per node on the descending grid ff -> f0,
+    with p_mid the interval-midpoint values captured during the same
+    backward sweep, which the closed-loop simulation samples at its
+    Runge-Kutta mid-stages."""
 
     grid: np.ndarray
     p: np.ndarray
-    p_mid: Optional[np.ndarray] = None
+    p_mid: np.ndarray
 
     def __post_init__(self):
         if len(self.grid) != len(self.p):
             raise ValueError("grid and P stack lengths differ")
-        if self.p_mid is not None and len(self.p_mid) != len(self.grid) - 1:
+        if len(self.p_mid) != len(self.grid) - 1:
             raise ValueError("midpoint stack needs one entry per grid interval")
 
 
@@ -63,12 +61,23 @@ def rk4_step(field, y, f, h):
 
 
 def _mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """a @ b for nested lists, walking only the nonzeros of a."""
+    out = []
+    for row in a:
+        acc = [0.0] * len(b[0])
+        for x, b_row in zip(row, b):
+            if x != 0.0:
+                acc = [s + x * y for s, y in zip(acc, b_row)]
+        out.append(acc)
+    return out
+
+
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def _mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    return [sum(map(operator.mul, row, v)) for row in a]
 
 
 def _a_rows(e, f):
@@ -84,19 +93,12 @@ def _a_rows(e, f):
 
 
 def _w_rows(orbit, weights, f):
-    """W blocks of the coupled flow as nested lists: (W11, W12, W22)."""
-    e = orbit.e
-    a = _a_rows(e, f)
-    w11 = [[0.0] * 12 for _ in range(12)]
-    w22 = [[0.0] * 12 for _ in range(12)]
-    for i in range(6):
-        for j in range(6):
-            w11[i][j] = a[i][j]
-            w11[6 + i][6 + j] = a[i][j]
-            w22[i][j] = -a[j][i]
-            w22[6 + i][6 + j] = -a[j][i]
-    r = 1.0 + e * math.cos(f)
-    gain = (orbit.beta / r**3) ** 2
+    """W blocks of the coupled flow as nested lists: (W11, W12, W22), with
+    W11 = diag(A, A) and W22 = -W11ᵀ."""
+    a = _a_rows(orbit.e, f)
+    w11 = [row + [0.0] * 6 for row in a] + [[0.0] * 6 + row for row in a]
+    w22 = [[-x for x in col] for col in zip(*w11)]
+    gain = (orbit.beta / (1.0 + orbit.e * math.cos(f)) ** 3) ** 2
     g_a = gain / weights.r_a
     g_v = gain * (1.0 / weights.r_d - 1.0 / weights.r_a)
     w12 = [[0.0] * 12 for _ in range(12)]
@@ -118,6 +120,24 @@ def _terminal_p(weights):
     return s
 
 
+def riccati_field(orbit, weights, f, pflat):
+    """P' = W22 P - P W11 - P W12 P at anomaly f, with P a flat row-major
+    list of 144 floats.  A product with P on the left is taken transposed,
+    P M = (Mᵀ Pᵀ)ᵀ, so every left operand is a W block or (W12 P)ᵀ (six
+    nonzero columns) and each product walks only its nonzeros.  P is not
+    assumed to be symmetric."""
+    p = [pflat[12 * i:12 * i + 12] for i in range(12)]
+    pt = _transpose(p)
+    w11, w12, w22 = _w_rows(orbit, weights, f)
+    t1 = _mat_mul(w22, p)
+    t2t = _mat_mul(_transpose(w11), pt)  # (P W11)ᵀ
+    t3t = _mat_mul(_transpose(_mat_mul(w12, p)), pt)  # (P W12 P)ᵀ
+    return [
+        t1[i][j] - t2t[j][i] - t3t[j][i]
+        for i in range(12) for j in range(12)
+    ]
+
+
 def integrate_riccati_backward(config, step=None):
     """Integrate P' = W22 P - P W11 - P W12 P backward from ff to f0,
     storing P at every grid node.
@@ -133,20 +153,8 @@ def integrate_riccati_backward(config, step=None):
         step = config.h_f / 16.0
     if not step > 0:
         raise ValueError(f"step must be positive, got {step!r}")
-    orbit = config.orbit
     weights = config.weights
-
-    def field(f, pflat):
-        p = [pflat[12 * i:12 * i + 12] for i in range(12)]
-        w11, w12, w22 = _w_rows(orbit, weights, f)
-        t1 = _mat_mul(w22, p)
-        t2 = _mat_mul(p, w11)
-        t3 = _mat_mul(p, _mat_mul(w12, p))
-        return [
-            t1[i][j] - t2[i][j] - t3[i][j]
-            for i in range(12) for j in range(12)
-        ]
-
+    field = functools.partial(riccati_field, config.orbit, weights)
     nodes = config.grid[::-1]
     # even sub-step count so the sweep lands exactly on interval midpoints
     n_sub = max(2, 2 * int(round(config.h_f / step / 2.0)))
@@ -211,11 +219,10 @@ def _controls_from_p(orbit, weights, pflat, xa, xda, f):
 def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     """Forward closed-loop simulation against the stored Riccati grid.
 
-    Runge-Kutta mid-stages sample the stored interval-midpoint P when the
-    grid carries one, and fall back to linear interpolation between nodes
-    otherwise.  Optional per-node open-loop control offsets (shape
-    (N+1, 3)) are added to a player's feedback control, interpolated
-    linearly; they exist for equilibrium-deviation studies."""
+    Runge-Kutta mid-stages sample the stored interval-midpoint P.
+    Optional per-node open-loop control offsets (shape (N+1, 3)) are added
+    to a player's feedback control, interpolated linearly; they exist for
+    equilibrium-deviation studies."""
     orbit = config.orbit
     weights = config.weights
     e = orbit.e
@@ -229,12 +236,9 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     p_asc = [pgrid.p[i].ravel().tolist() for i in order]
     if len(p_asc) != n_nodes:
         raise ValueError("stored Riccati grid does not cover the scenario grid")
-    if pgrid.p_mid is not None:
-        # interval i of the ascending grid is interval n-2-i of the sweep
-        p_mid_asc = [pgrid.p_mid[n_nodes - 2 - i].ravel().tolist()
-                     for i in range(n_nodes - 1)]
-    else:
-        p_mid_asc = [_lerp_rows(p_asc, i + 0.5) for i in range(n_nodes - 1)]
+    # interval i of the ascending grid is interval n-2-i of the sweep
+    p_mid_asc = [pgrid.p_mid[n_nodes - 2 - i].ravel().tolist()
+                 for i in range(n_nodes - 1)]
 
     dev_a = None if attacker_dev is None else np.asarray(attacker_dev, dtype=float)
     dev_d = None if defender_dev is None else np.asarray(defender_dev, dtype=float)
@@ -256,21 +260,15 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
         return u_a, u_d
 
     def field_with(f, y, pflat):
+        # x_a' = A x_a + b u_a and x_da' = A x_da + b (u_d - u_a), with b
+        # the control scale on the velocity rows
         u_a, u_d = controls_at(f, y, pflat)
-        r = 1.0 + e * math.cos(f)
-        scale = orbit.beta / r**3
-        xa = y[0:6]
-        xda = y[6:12]
-        out = [0.0] * 12
-        out[0:3] = xa[3:6]
-        out[3] = 3.0 / r * xa[0] + 2.0 * xa[4] + scale * u_a[0]
-        out[4] = -2.0 * xa[3] + scale * u_a[1]
-        out[5] = -xa[2] + scale * u_a[2]
-        out[6:9] = xda[3:6]
-        out[9] = 3.0 / r * xda[0] + 2.0 * xda[4] + scale * (u_d[0] - u_a[0])
-        out[10] = -2.0 * xda[3] + scale * (u_d[1] - u_a[1])
-        out[11] = -xda[2] + scale * (u_d[2] - u_a[2])
-        return out
+        a = _a_rows(e, f)
+        scale = orbit.beta / (1.0 + e * math.cos(f)) ** 3
+        push = ([0.0] * 3 + [scale * u for u in u_a]
+                + [0.0] * 3 + [scale * (d - u) for d, u in zip(u_d, u_a)])
+        drift = _mat_vec(a, y[0:6]) + _mat_vec(a, y[6:12])
+        return [x + b for x, b in zip(drift, push)]
 
     def staged_field(stage_ps):
         # the kernel evaluates stages in the fixed order k1, k2, k3, k4

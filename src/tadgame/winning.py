@@ -72,15 +72,11 @@ class Ellipsoid:
     m: np.ndarray
 
     def q(self, point):
-        """Evaluate the defining quadratic at a 3-vector (or stack)."""
-        point = np.asarray(point, dtype=float)
-        c = self.center_offset
-        return (
-            np.einsum("...i,ij,...j->...", point, self.g, point)
-            - 2.0 * np.einsum("i,ij,...j->...", c, self.g, point)
-            + c @ self.g @ c
-            - self.radius**2
-        )
+        """Evaluate the defining quadratic |m (r - c)|^2 - radius^2 at a
+        3-vector (or stack).  The centred form keeps the digits that the
+        expanded r^T g r - 2 c^T g r + c^T g c loses near the boundary."""
+        v = (np.asarray(point, dtype=float) - self.center_offset) @ self.m.T
+        return np.sum(v**2, axis=-1) - self.radius**2
 
 
 def classify_outcome(trajectory, sets):

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from conftest import reference_config, reference_orbit, reference_weights
-from properties import max_rel
+from properties import max_rel, riccati_rhs
 from tadgame.game import propagate_analytical
 from tadgame.numerical_baseline import (
     NumericalBlowup,
     PGrid,
     integrate_riccati_backward,
+    riccati_field,
     rk4_step,
     simulate_numerical,
 )
@@ -24,7 +25,8 @@ WEIGHTS = reference_weights()
 
 def zero_pgrid(grid):
     """Zero-filled stored Riccati grid on the descending nodes of grid."""
-    return PGrid(grid=grid[::-1], p=np.zeros((len(grid), 12, 12)))
+    return PGrid(grid=grid[::-1], p=np.zeros((len(grid), 12, 12)),
+                 p_mid=np.zeros((len(grid) - 1, 12, 12)))
 
 
 class TestRk4Step:
@@ -80,11 +82,27 @@ class TestRecords:
     def test_pgrid_validation(self):
         grid = np.linspace(1.0, 0.0, 11)
         p = np.zeros((11, 12, 12))
-        PGrid(grid=grid, p=p)
+        p_mid = np.zeros((10, 12, 12))
+        PGrid(grid=grid, p=p, p_mid=p_mid)
         with pytest.raises(ValueError):
-            PGrid(grid=grid, p=np.zeros((10, 12, 12)))
+            PGrid(grid=grid, p=np.zeros((10, 12, 12)), p_mid=p_mid)
         with pytest.raises(ValueError):
             PGrid(grid=grid, p=p, p_mid=np.zeros((11, 12, 12)))
+        with pytest.raises(TypeError):
+            PGrid(grid=grid, p=p)  # the midpoints are required
+
+
+class TestRiccatiField:
+    @pytest.mark.parametrize("f", [0.0, 2.2, 5.0])
+    def test_matches_reference_rhs_on_non_symmetric_p(self, f):
+        # a non-symmetric P shows a transposition slip in any of the three
+        # products; the 1e-3 scale keeps the linear and quadratic terms
+        # of the same order
+        p = 1e-3 * np.random.default_rng(6).standard_normal((12, 12))
+        assert np.abs(p - p.T).max() > 1e-4
+        got = np.array(riccati_field(ORBIT, WEIGHTS, f, p.ravel().tolist())).reshape(12, 12)
+        want = riccati_rhs(ORBIT.e, f, ORBIT.beta, WEIGHTS.r_a, WEIGHTS.r_d, p)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
 class TestBackwardSweep:

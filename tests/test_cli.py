@@ -192,13 +192,29 @@ class TestExitCodes:
         ["simulate", "reference", "--out-traj"],
         ["wincheck", "reference", "--out"],
         ["sweep-e", "reference", "--e-list", "0.1", "--out"],
-    ], ids=["simulate", "wincheck", "sweep-e"])
+        ["simulate", "SHORT", "--out-summary"],
+        ["compare", "SHORT", "--out"],
+        ["bench", "SHORT", "--reps", "3", "--out"],
+    ], ids=["simulate", "wincheck", "sweep-e", "simulate-summary", "compare", "bench"])
     def test_unwritable_output_path(self, tmp_path, capsys, argv):
+        # the path is checked before the run: nothing reaches stdout
+        short = scenario_file(tmp_path, ff=repr(math.pi / 10.0))
+        argv = [short if a == "SHORT" else a for a in argv]
         out_path = tmp_path / "no-such-dir" / "out.csv"
-        code, _, err = run(argv + [str(out_path)], capsys)
+        code, out, err = run(argv + [str(out_path)], capsys)
         assert code == 2
         assert err.startswith("FileNotFoundError:") and err.count("\n") == 1
+        assert out == ""
         assert not out_path.parent.exists()
+
+    def test_existing_output_kept_on_failed_run(self, tmp_path, capsys):
+        # the early check neither truncates an existing output nor leaves
+        # a new one behind when the run then fails
+        out_path = tmp_path / "ell.csv"
+        out_path.write_text("old\n", encoding="utf-8")
+        argv = ["ellipsoids", "reference", "--f-list", "100", "--out", str(out_path)]
+        assert run(argv, capsys)[0] == 2
+        assert out_path.read_text(encoding="utf-8") == "old\n"
 
     def test_numerical_blowup(self, tmp_path, capsys):
         path = scenario_file(tmp_path, r_d="1.0", s_dar="100.0", s_dav="100.0")
@@ -222,6 +238,13 @@ class TestExitCodes:
         path = scenario_file(tmp_path)
         code, _, err = run(["wincheck", path, "--rd0", "1,2"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_wincheck_non_finite_rd0(self, tmp_path, capsys, value):
+        path = scenario_file(tmp_path)
+        code, out, err = run(["wincheck", path, "--rd0", f"0,{value},0"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
 
     def test_bench_too_few_reps(self, tmp_path, capsys):
         path = scenario_file(tmp_path)

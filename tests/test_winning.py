@@ -268,13 +268,15 @@ class TestEllipsoid:
             assert abs(q0 + e.radius**2) < 1e-12 * max(1.0, e.radius**2)
 
     def test_quadratic_grouping(self, ref_config):
-        # the expanded form in q loses digits at the c^T G c scale, so the
-        # comparison against the compact factored form is anchored there
+        # q is the centred form; the expanded form r^T G r - 2 c^T G r +
+        # c^T G c loses digits at the c^T G c scale, so the comparison
+        # between the two is anchored there
         e = ellipsoid_at(ref_config, 2.0, "S1")
         rng = np.random.default_rng(97)
         pts = e.center_offset + rng.uniform(-5.0, 5.0, size=(1000, 3))
-        x = (pts - e.center_offset) @ e.m.T
-        grouped = np.sum(x * x, axis=1) - e.radius**2
+        c = e.center_offset
+        grouped = (np.einsum("ni,ij,nj->n", pts, e.g, pts) - 2.0 * pts @ (e.g @ c)
+                   + c @ e.g @ c - e.radius**2)
         q = e.q(pts)
         scale = max(1.0, abs(e.center_offset @ e.g @ e.center_offset))
         assert np.abs(grouped - q).max() <= 1e-11 * scale
@@ -294,6 +296,18 @@ class TestEllipsoid:
         direct = placement_values(ref_config, _d_grid(ref_config, fs[k]), pts)
         for e, want in zip((e1, e2), direct):
             assert np.allclose(e.q(pts), want, rtol=1e-10, atol=1e-12)
+
+    def test_boundary_digits_match_propagation(self, ref_config):
+        # at this placement g2 passes through 0 between nodes 16 and 17; the
+        # centred quadratic keeps the digits of the propagated distance
+        # there, where the expanded r^T G r - 2 c^T G r + c^T G c is off by
+        # 1.1e-13
+        rd0 = [0.0, 20.012, 0.0]
+        cfg = ref_config.with_defender_position(rd0)
+        traj = propagate_analytical(cfg)
+        for k in (15, 16, 17):
+            want = traj.dist_da[k] ** 2 - cfg.r2**2
+            assert abs(g2(cfg, cfg.grid[k], rd0) - want) <= 1e-15
 
     def test_capture_set_bracket(self, ref_config):
         inside = ellipsoid_at(ref_config, 984 * ref_config.h_f, "S1").q(RD0_REF)
