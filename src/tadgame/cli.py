@@ -6,8 +6,9 @@ outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
 Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
-number or --rd0 component, an ellipsoids anomaly outside [f0, ff] and an
-output path that cannot be written, which is checked before any work,
+number or --rd0 component, finite scenario numbers so large that a
+closed-form result overflows, an ellipsoids anomaly outside [f0, ff] and
+an output path that cannot be written, which is checked before any work,
 included), 3 singular or blown-up computation, 4 violated wincheck
 precondition.
 """
@@ -267,20 +268,17 @@ def cmd_wincheck(args):
             raise PreconditionError(str(exc))
     try:
         fs, v1, v2 = scan_quadratics(config)
-        wins, f_a = attacker_wins(config)
     except NotHovering as exc:
         raise PreconditionError(str(exc))
+    wins, f_a = attacker_wins(fs, v1, v2)
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["f", "g1", "g2"])
             for k in range(fs.shape[0]):
                 writer.writerow([_fmt(fs[k]), _fmt(v1[k]), _fmt(v2[k])])
-    if f_a is None:
-        f_an = None
-    else:
-        idx = int(round((f_a - config.f0) / config.h_f))
-        f_an = float(config.grid[idx - 1])
+    # fs = grid[1:], so the node before f_a = fs[i] is grid[i]
+    f_an = None if f_a is None else float(config.grid[np.searchsorted(fs, f_a)])
     _emit_json({"attacker_wins": wins, "f_a": f_a, "f_an": f_an}, None)
     return 0
 
@@ -300,7 +298,7 @@ def cmd_sweep_e(args):
         try:
             swept = replace(config, orbit=replace(config.orbit, e=e))
             fs, v1, v2 = scan_quadratics(swept)
-            wins, f_a = attacker_wins(swept)
+            wins, f_a = attacker_wins(fs, v1, v2)
             row["attacker_wins"] = "true" if wins else "false"
             row["f_a"] = _fmt(f_a) if f_a is not None else ""
             row["min_g1"] = _fmt(v1.min())
@@ -391,9 +389,9 @@ def build_parser():
             "(weights), xa0/xda0 (6 comma-separated, km and km/rad, tilde frame), "
             "R1/R2 (km). A bare scenario name (e.g. reference) loads a packaged scenario."
         ),
-        epilog="Exit codes: 0 ok, 2 scenario/config error or unwritable output "
-               "path, 3 singular/blown-up computation, 4 violated wincheck "
-               "precondition.",
+        epilog="Exit codes: 0 ok, 2 scenario/config error, overflowing scenario "
+               "numbers or unwritable output path, 3 singular/blown-up "
+               "computation, 4 violated wincheck precondition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -465,7 +463,7 @@ def main(argv=None):
         module = type(exc).__module__.rsplit(".", 1)[-1]
         print(f"{module}.{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # an output path that cannot be written
+    except (OSError, OverflowError) as exc:  # an unwritable output path, huge inputs
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -65,9 +65,9 @@ class GameConfig:
             v = getattr(self, name)
             if v.shape != (6,) or not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} must be a finite 6-vector, got {v!r}")
-        if np.linalg.norm(self.x_a0[:3]) <= self.r1:
+        if math.hypot(*self.x_a0[:3]) <= self.r1:
             raise ValueError("initial pursuer position already inside the capture ball")
-        if np.linalg.norm(self.x_da0[:3]) <= self.r2:
+        if math.hypot(*self.x_da0[:3]) <= self.r2:
             raise ValueError("initial defender position already inside the interception ball")
 
     @property
@@ -131,9 +131,7 @@ def _d_grid(config, f):
 def _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d):
     w = config.weights
     running = w.r_a * np.sum(u_a * u_a, axis=-1) - w.r_d * np.sum(u_d * u_d, axis=-1)
-    terminal = (
-        x_a[-1] @ w.sa @ x_a[-1] - x_da[-1] @ w.sda @ x_da[-1]
-    )
+    terminal = x_a[-1] @ w.sa @ x_a[-1] - x_da[-1] @ w.sda @ x_da[-1]
     return 0.5 * terminal + 0.5 * float(np.trapezoid(running, grid))
 
 
@@ -146,39 +144,52 @@ def cost(config, trajectory):
     )
 
 
+def _states(config, t, t0, p0):
+    """The one state loop: joint states D(f) y0 (N, 12) and costates
+    Omega22 lam0 (N, 6, 2) at the table records t, from the record t0 at f0
+    and P(f0), one chunk at a time so that no 12x12 stack outlives it."""
+    orbit, weights = config.orbit, config.weights
+    y0 = np.concatenate([config.x_a0, config.x_da0])
+    lam0 = (p0 @ y0).reshape(2, 6).T
+    y = np.empty((t.size, 12))
+    costates = np.empty((t.size, 6, 2))
+    for chunk in _chunks(t.size):
+        o11, o22, c1 = _u_blocks_arrays(t[chunk], t0)
+        costates[chunk] = o22 @ lam0
+        del o22  # freed before D, the largest stack of a chunk, is built
+        y[chunk] = _propagator(orbit, weights, o11, c1, p0) @ y0
+    return y, costates
+
+
+def _require_finite(what, *arrays):
+    """Raise OverflowError unless every value is finite (the inputs are)."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise OverflowError(f"{what} overflows: the scenario's numbers are too large")
+
+
 def propagate_analytical(config):
     """Propagate the equilibrium game over the whole grid in closed form.
 
     One table evaluation on the grid gives every block: the factor is
     checked at every node and P(f0) taken from its inverse at the first,
-    then, one chunk of nodes at a time, states come from D(f) y0 and
-    costates from the costate transition blocks.  The saddle-point
-    controls come from the costates on the whole grid,
-    u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v."""
+    then _states gives the states D(f) y0 and the costates.  The
+    saddle-point controls come from the costates on the whole grid,
+    u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v.
+    Raises OverflowError where a result is not finite."""
     orbit, weights = config.orbit, config.weights
     grid = config.grid
-    y0 = np.concatenate([config.x_a0, config.x_da0])
-
     t, p0 = _riccati_p_arrays(orbit, weights, grid, config.ff)
-    lam0 = (p0 @ y0).reshape(2, 6).T
-    y = np.empty((grid.size, 12))
-    costates = np.empty((grid.size, 6, 2))
-    for chunk in _chunks(grid.size):
-        o11, o22, c1 = _u_blocks_arrays(t[chunk], t[0])
-        y[chunk] = _propagator(orbit, weights, o11, c1, p0) @ y0
-        costates[chunk] = o22 @ lam0
-    x_a = y[:, 0:6]
-    x_da = y[:, 6:12]
-    lam = costates[..., 0]
-    nu = costates[..., 1]
-
-    scale = orbit.beta / rho(orbit, grid) ** 3
-    u_a = -(scale[:, None] / weights.r_a) * (lam - nu)[:, 3:6]
-    u_d = (scale[:, None] / weights.r_d) * nu[:, 3:6]
-
-    dist_at = np.linalg.norm(x_a[:, :3], axis=1)
-    dist_da = np.linalg.norm(x_da[:, :3], axis=1)
-    j = _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, costates = _states(config, t, t[0], p0)
+        x_a, x_da = y[:, 0:6], y[:, 6:12]
+        lam, nu = costates[..., 0], costates[..., 1]
+        scale = orbit.beta / rho(orbit, grid) ** 3
+        u_a = -(scale[:, None] / weights.r_a) * (lam - nu)[:, 3:6]
+        u_d = (scale[:, None] / weights.r_d) * nu[:, 3:6]
+        dist_at = np.linalg.norm(x_a[:, :3], axis=1)
+        dist_da = np.linalg.norm(x_da[:, :3], axis=1)
+        j = _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d)
+    _require_finite("the trajectory", y, costates, u_a, u_d, dist_at, dist_da, j)
     return Trajectory(
         grid=grid, x_a=x_a, x_da=x_da, u_a=u_a, u_d=u_d,
         lam=lam, nu=nu, dist_at=dist_at, dist_da=dist_da, cost=j,

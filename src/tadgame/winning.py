@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .game import _d_grid
-from .riccati import _checked_inverse
+from .game import _d_grid, _require_finite, _states
+from .riccati import _checked_inverse, _riccati_p_arrays, _tables
 
 
 class SingularBlock(RuntimeError):
@@ -134,43 +134,33 @@ def ellipsoid_at(config, f, which):
                      radius=float(radius), m=own)
 
 
-def g1(config, f, rd0):
-    """Capture quadratic at anomaly f for defender initial position rd0.
-
-    Nonpositive values mean the pursuer reaches the capture ball at f."""
-    return float(ellipsoid_at(config, f, "S1").q(rd0))
-
-
-def g2(config, f, rd0):
-    """Interception quadratic at anomaly f for defender initial position rd0.
-
-    Positive values mean the defender has not reached the pursuer at f."""
-    return float(ellipsoid_at(config, f, "S2").q(rd0))
-
-
 def scan_quadratics(config):
     """Both quadratics sampled over the grid after f0.
 
     At one placement each quadratic is a squared propagated distance minus
     the squared radius, g1 = |x_a(f)|^2 - R1^2 and g2 = |x_da(f)|^2 - R2^2,
-    so the scan reads them from the positions D(f) y0.  Returns
-    (f, g1_values, g2_values) arrays over (f0, ff] for the configured
-    defender initial position."""
+    so the scan reads them from the positions D(f) y0 of propagate_analytical's
+    state loop, with P(f0) checked at f0 only.  Returns (f, g1_values,
+    g2_values) arrays over (f0, ff] for the configured defender initial
+    position; raises OverflowError where a value is not finite."""
     _require_hovering(config)
     fs = config.grid[1:]
-    y = _d_grid(config, fs) @ np.concatenate([config.x_a0, config.x_da0])
-    v1 = np.sum(y[:, 0:3] ** 2, axis=1) - config.r1**2
-    v2 = np.sum(y[:, 6:9] ** 2, axis=1) - config.r2**2
+    t0, p0 = _riccati_p_arrays(config.orbit, config.weights, config.f0, config.ff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, _ = _states(config, _tables(config.orbit, fs), t0, p0)
+        v1 = np.sum(y[:, 0:3] ** 2, axis=1) - config.r1**2
+        v2 = np.sum(y[:, 6:9] ** 2, axis=1) - config.r2**2
+    _require_finite("the winning scan", v1, v2)
     return fs, v1, v2
 
 
-def attacker_wins(config):
-    """Closed-form winning test for the pursuer.
+def attacker_wins(fs, v1, v2):
+    """Closed-form winning decision on a scan (fs, v1, v2) from
+    scan_quadratics.
 
-    Scans the grid after f0 for the first anomaly f_a with g1(f_a) <= 0 and
-    requires g2 > 0 everywhere up to and including f_a.  Returns
-    (wins, f_a); f_a is None when the pursuer never wins."""
-    fs, v1, v2 = scan_quadratics(config)
+    Finds the first anomaly f_a with g1(f_a) <= 0 and requires g2 > 0
+    everywhere up to and including f_a.  Returns (wins, f_a); f_a is None
+    when the pursuer never wins."""
     hits = v1 <= 0.0
     if not np.any(hits):
         return False, None
@@ -182,6 +172,6 @@ def attacker_wins(config):
 
 def winning_set_membership(config, rd0):
     """Whether the defender initial position rd0 lets the pursuer win."""
-    wins, _ = attacker_wins(config.with_defender_position(rd0))
+    wins, _ = attacker_wins(*scan_quadratics(config.with_defender_position(rd0)))
     return wins
 

@@ -67,12 +67,12 @@ def test_criterion_4(analytical_run, numerical_run):
 
 
 def test_criterion_5(ref_config, analytical_run, ref_sets):
-    wins, f_a = attacker_wins(ref_config)
+    fs, v1, v2 = scan_quadratics(ref_config)
+    wins, f_a = attacker_wins(fs, v1, v2)
     assert wins is True
     assert f_a == ref_config.grid[984]
     assert ref_config.grid[984] == 984 * ref_config.h_f
     assert ref_config.grid[983] == 983 * ref_config.h_f
-    _, _, v2 = scan_quadratics(ref_config)
     assert v2.min() > 0.0
     traj, _ = analytical_run
     assert classify_outcome(traj, ref_sets).f_capture == f_a
@@ -83,8 +83,8 @@ def test_criterion_6(ref_config):
     for e in (0.0, 0.1, 0.2, 0.3, 0.4, 0.5):
         orbit = ReferenceOrbit(mu=ref_config.orbit.mu, p=ref_config.orbit.p, e=e)
         cfg = dataclasses.replace(ref_config, orbit=orbit)
-        _, v1, v2 = scan_quadratics(cfg)
-        wins, f_a = attacker_wins(cfg)
+        fs, v1, v2 = scan_quadratics(cfg)
+        wins, f_a = attacker_wins(fs, v1, v2)
         assert wins is True
         assert v1.min() <= 0.0
         assert v2.min() > 0.0
@@ -168,7 +168,7 @@ def test_criterion_7(ref_config, analytical_run, numerical_run):
     placements = np.array([-2.0, 0.0, 0.0]) + rng.uniform(-2.5, 2.5, (100, 3))
     for rd0 in placements:
         cfg = ref_config.with_defender_position(rd0)
-        wins, f_a = attacker_wins(cfg)
+        wins, f_a = attacker_wins(*scan_quadratics(cfg))
         out = classify_outcome(propagate_analytical(cfg), sets)
         assert wins == (out.tag is OutcomeTag.ATTACKER_WINS)
         if wins:

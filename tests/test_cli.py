@@ -3,10 +3,13 @@
 import json
 import math
 import types
+import warnings
 
 import numpy as np
 import pytest
 
+import tadgame.cli
+import tadgame.winning
 from conftest import reference_config
 from tadgame.cli import (
     ScenarioError,
@@ -19,8 +22,7 @@ from tadgame.cli import (
     write_trajectory_csv,
 )
 from tadgame.game import GameConfig, propagate_analytical
-from tadgame.winning import g1 as g1_scalar
-from tadgame.winning import g2 as g2_scalar
+from tadgame.winning import ellipsoid_at
 
 H_F = 0.006283185307179587
 
@@ -239,6 +241,17 @@ class TestExitCodes:
         code, _, err = run(["wincheck", path, "--rd0", "1,2"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["simulate", "wincheck"])
+    def test_overflowing_initial_state(self, tmp_path, capsys, command):
+        # finite but so large that the squared distances overflow: one
+        # stderr line and exit 2, no warning and no Infinity or NaN on stdout
+        path = scenario_file(tmp_path, xa0="0, 1e200, 0, 0, 0, 0")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run([command, path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("OverflowError:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_wincheck_non_finite_rd0(self, tmp_path, capsys, value):
         path = scenario_file(tmp_path)
@@ -311,6 +324,24 @@ class TestWincheck:
         v = json.loads(out)
         assert v["attacker_wins"] is False
         assert v["f_a"] is None and v["f_an"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["wincheck", "reference", "--out"],
+        ["sweep-e", "reference", "--e-list", "0.3", "--out"],
+    ], ids=["wincheck", "sweep-e"])
+    def test_one_scan_per_verdict(self, tmp_path, capsys, monkeypatch, argv):
+        # the CSV values and the verdict come from the same scan
+        scan = tadgame.winning.scan_quadratics
+        calls = []
+
+        def counted(config):
+            calls.append(config)
+            return scan(config)
+
+        monkeypatch.setattr(tadgame.winning, "scan_quadratics", counted)
+        monkeypatch.setattr(tadgame.cli, "scan_quadratics", counted)
+        assert run(argv + [str(tmp_path / "out.csv")], capsys)[0] == 0
+        assert len(calls) == 1
 
 
 class TestCompare:
@@ -422,13 +453,13 @@ class TestEllipsoids:
         cfg = reference_config()
         rng = np.random.default_rng(113)
         pts = np.array([-2.0, 0.0, 0.0]) + rng.uniform(-3.0, 3.0, size=(100, 3))
-        for row, scalar in ((rows[0], g1_scalar), (rows[1], g2_scalar)):
+        for row in rows:
             g = np.array([[float(row[f"g{i}{j}"]) for j in (1, 2, 3)] for i in (1, 2, 3)])
             c = np.array([float(row["cx"]), float(row["cy"]), float(row["cz"])])
             r = float(row["radius"])
             for x in pts:
                 q = x @ g @ x - 2.0 * c @ g @ x + c @ g @ c - r**2
-                want = scalar(cfg, f, x)
+                want = ellipsoid_at(cfg, f, row["set"]).q(x)
                 assert abs(q - want) <= 1e-9 * max(1.0, abs(want))
 
     def test_start_anomaly_records_singular_capture_row(self, tmp_path, capsys):

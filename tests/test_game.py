@@ -14,7 +14,7 @@ from tadgame.game import Trajectory, _d_grid, cost, propagate_analytical
 from tadgame.numerical_baseline import _a_rows, _w_rows
 from tadgame.orbital_core import rho
 from tadgame.riccati import riccati_p
-from tadgame.winning import ellipsoid_at
+from tadgame.winning import ellipsoid_at, scan_quadratics
 
 ORBIT = reference_orbit()
 WEIGHTS = reference_weights()
@@ -250,14 +250,16 @@ class TestPropagateAnalytical:
         ratio = (costs[0] - costs[1]) / (costs[1] - costs[2])
         assert 3.5 < ratio < 4.5
 
-    def test_peak_memory_per_node(self):
+    @pytest.mark.parametrize("run", [propagate_analytical, scan_quadratics],
+                             ids=["propagate_analytical", "scan_quadratics"])
+    def test_peak_memory_per_node(self, run):
         # every 12x12 and 6x6 stack lives for one chunk only, so on the
         # 10-revolution grid the peak is the tables and the outputs
         cfg = reference_config(ff=20.0 * np.pi)
-        propagate_analytical(cfg)
+        run(cfg)
         tracemalloc.start()
         try:
-            propagate_analytical(cfg)
+            run(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

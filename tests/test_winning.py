@@ -17,8 +17,6 @@ from tadgame.winning import (
     attacker_wins,
     classify_outcome,
     ellipsoid_at,
-    g1,
-    g2,
     scan_quadratics,
     winning_set_membership,
 )
@@ -115,21 +113,21 @@ class TestScanAndWin:
         assert v2.min() > 0.0
 
     def test_attacker_wins_grid_node(self, ref_config):
-        wins, f_a = attacker_wins(ref_config)
+        wins, f_a = attacker_wins(*scan_quadratics(ref_config))
         assert wins
         assert f_a == ref_config.grid[984]
         assert f_a == 984 * ref_config.h_f
 
     def test_win_anomaly_matches_trajectory_capture(self, ref_config, analytical_run, ref_sets):
-        _, f_a = attacker_wins(ref_config)
+        _, f_a = attacker_wins(*scan_quadratics(ref_config))
         traj, _ = analytical_run
         assert classify_outcome(traj, ref_sets).f_capture == f_a
 
     def test_scalar_calls_match_scan(self, ref_config):
         fs, v1, v2 = scan_quadratics(ref_config)
         for k in (0, 99, 499, 983):
-            s1 = g1(ref_config, fs[k], RD0_REF)
-            s2 = g2(ref_config, fs[k], RD0_REF)
+            s1 = ellipsoid_at(ref_config, fs[k], "S1").q(RD0_REF)
+            s2 = ellipsoid_at(ref_config, fs[k], "S2").q(RD0_REF)
             assert s1 == pytest.approx(v1[k], rel=1e-10, abs=1e-12)
             assert s2 == pytest.approx(v2[k], rel=1e-10, abs=1e-12)
 
@@ -137,22 +135,18 @@ class TestScanAndWin:
         # at f0 the capture condition has no invertible block yet; the
         # interception condition starts from the identity
         with pytest.raises(SingularBlock) as info:
-            g1(ref_config, ref_config.f0, RD0_REF)
-        assert info.value.f == ref_config.f0
-        with pytest.raises(SingularBlock):
             ellipsoid_at(ref_config, ref_config.f0, "S1")
-        val = g2(ref_config, ref_config.f0, RD0_REF)
+        assert info.value.f == ref_config.f0
+        val = ellipsoid_at(ref_config, ref_config.f0, "S2").q(RD0_REF)
         want = np.sum((RD0_REF - ref_config.x_a0[:3]) ** 2) - ref_config.r2**2
         assert val == pytest.approx(want, rel=1e-12)
 
     def test_requires_hovering(self):
         cfg = reference_config(x_a0=np.array([0.0, 20.0, 0.0, 1e-3, 0.0, 0.0]))
         for call in (
-            lambda: g1(cfg, 1.0, RD0_REF),
-            lambda: g2(cfg, 1.0, RD0_REF),
             lambda: scan_quadratics(cfg),
-            lambda: attacker_wins(cfg),
             lambda: ellipsoid_at(cfg, 1.0, "S1"),
+            lambda: ellipsoid_at(cfg, 1.0, "S2"),
         ):
             with pytest.raises(NotHovering):
                 call()
@@ -224,7 +218,7 @@ class TestQuadraticEquivalence:
             out = classify_outcome(propagate_analytical(cfg), ref_sets)
             assert member == (out.tag is OutcomeTag.ATTACKER_WINS)
             if member:
-                assert out.f_capture == attacker_wins(cfg)[1]
+                assert out.f_capture == attacker_wins(*scan_quadratics(cfg))[1]
 
     @pytest.mark.parametrize("slice_name", ["wide", "adjacent"])
     def test_membership_stable_under_grid_refinement(self, ref_config, slice_name):
@@ -307,7 +301,7 @@ class TestEllipsoid:
         traj = propagate_analytical(cfg)
         for k in (15, 16, 17):
             want = traj.dist_da[k] ** 2 - cfg.r2**2
-            assert abs(g2(cfg, cfg.grid[k], rd0) - want) <= 1e-15
+            assert abs(ellipsoid_at(cfg, cfg.grid[k], "S2").q(rd0) - want) <= 1e-15
 
     def test_capture_set_bracket(self, ref_config):
         inside = ellipsoid_at(ref_config, 984 * ref_config.h_f, "S1").q(RD0_REF)
@@ -320,9 +314,7 @@ class TestEllipsoid:
             with pytest.raises(ValueError, match="outside the horizon"):
                 ellipsoid_at(ref_config, f, "S1")
         with pytest.raises(ValueError, match="outside the horizon"):
-            g1(ref_config, 100.0, RD0_REF)
-        with pytest.raises(ValueError, match="outside the horizon"):
-            g2(ref_config, -1.0, RD0_REF)
+            ellipsoid_at(ref_config, -1.0, "S2")
         ellipsoid_at(ref_config, ref_config.ff, "S2")
 
     def test_rejects_unknown_set(self, ref_config):
@@ -341,8 +333,8 @@ class TestRadiusLimits:
 
     def test_vanishing_interception_radius(self):
         cfg = reference_config(r2=1e-9)
-        wins, f_a = attacker_wins(cfg)
+        fs, v1, v2 = scan_quadratics(cfg)
+        wins, f_a = attacker_wins(fs, v1, v2)
         assert wins
         assert f_a == 984 * cfg.h_f
-        _, _, v2 = scan_quadratics(cfg)
         assert v2.min() > 0.0
