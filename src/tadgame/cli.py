@@ -6,17 +6,19 @@ outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
 Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
-number or --rd0 component, finite scenario numbers so large that a
-closed-form result overflows, an ellipsoids anomaly outside [f0, ff] and
-an output path that cannot be written, which is checked before any work,
-included), 3 singular or blown-up computation, 4 violated wincheck
-precondition.
+number or value of --rd0, --e-list or --f-list, finite scenario numbers
+so large that a closed-form result overflows or that the numerical
+route's initial state already exceeds its blow-up limit, an ellipsoids
+anomaly outside [f0, ff] and an output path that cannot be written, which
+is checked before any work, included), 3 singular or blown-up
+computation, 4 violated wincheck precondition.
 """
 
 import argparse
 import csv
 import importlib.resources
 import json
+import math
 import os
 import statistics
 import sys
@@ -73,19 +75,20 @@ class SummaryRecord:
         return asdict(self)
 
 
-def _parse_value(key, raw, line_no):
-    parts = [s.strip() for s in raw.split(",")] if key in _VECTOR_KEYS else [raw]
+def _numbers(text, what, count=None):
+    """The finite numbers in comma-separated text, count of them if count
+    is given; otherwise ScenarioError, whose message starts with what."""
+    parts = [s.strip() for s in text.split(",")] if text.strip() else []
     try:
         values = [float(s) for s in parts]
     except ValueError:
-        raise ScenarioError(f"line {line_no}: value for {key} is not numeric: {raw!r}")
-    if key in _VECTOR_KEYS:
-        if len(values) != 6:
-            raise ScenarioError(
-                f"line {line_no}: {key} needs 6 comma-separated numbers, got {len(values)}"
-            )
-        return np.array(values)
-    return values[0]
+        raise ScenarioError(f"{what} is not numeric: {text!r}")
+    if count is not None and len(values) != count:
+        raise ScenarioError(f"{what} needs {count} comma-separated "
+                            f"number{'s' * (count > 1)}, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ScenarioError(f"{what} must be finite: {text!r}")
+    return values
 
 
 def parse_scenario(path):
@@ -108,7 +111,9 @@ def parse_scenario(path):
             raise ScenarioError(f"line {line_no}: unknown key {key!r}")
         if key in seen:
             raise ScenarioError(f"line {line_no}: duplicate key {key!r}")
-        seen[key] = _parse_value(key, raw, line_no)
+        vector = key in _VECTOR_KEYS
+        values = _numbers(raw, f"line {line_no}: value for {key}", 6 if vector else 1)
+        seen[key] = np.array(values) if vector else values[0]
     missing = [k for k in _SCENARIO_KEYS if k not in seen]
     if missing:
         raise ScenarioError(f"missing keys: {', '.join(missing)}")
@@ -253,15 +258,7 @@ def cmd_compare(args):
 def cmd_wincheck(args):
     config = _load(args.scenario)
     if args.rd0 is not None:
-        parts = [s.strip() for s in args.rd0.split(",")]
-        if len(parts) != 3:
-            raise ScenarioError(f"--rd0 needs 3 comma-separated numbers, got {args.rd0!r}")
-        try:
-            rd0 = [float(s) for s in parts]
-        except ValueError:
-            raise ScenarioError(f"--rd0 is not numeric: {args.rd0!r}")
-        if not all(np.isfinite(rd0)):
-            raise ScenarioError(f"--rd0 must be finite: {args.rd0!r}")
+        rd0 = _numbers(args.rd0, "--rd0", 3)
         try:
             config = config.with_defender_position(rd0)
         except ValueError as exc:
@@ -285,14 +282,8 @@ def cmd_wincheck(args):
 
 def cmd_sweep_e(args):
     config = _load(args.scenario)
-    e_values = []
-    if args.e_list.strip():
-        try:
-            e_values = [float(s) for s in args.e_list.split(",")]
-        except ValueError:
-            raise ScenarioError(f"--e-list is not numeric: {args.e_list!r}")
     rows = []
-    for e in e_values:
+    for e in _numbers(args.e_list, "--e-list"):
         row = {"e": _fmt(e), "attacker_wins": "", "f_a": "",
                "min_g1": "", "min_g2": "", "error": ""}
         try:
@@ -317,10 +308,7 @@ def cmd_sweep_e(args):
 
 def cmd_ellipsoids(args):
     config = _load(args.scenario)
-    try:
-        f_values = [float(s) for s in args.f_list.split(",")] if args.f_list.strip() else []
-    except ValueError:
-        raise ScenarioError(f"--f-list is not numeric: {args.f_list!r}")
+    f_values = _numbers(args.f_list, "--f-list")
     fields = (
         ["f", "set"]
         + [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
@@ -389,9 +377,10 @@ def build_parser():
             "(weights), xa0/xda0 (6 comma-separated, km and km/rad, tilde frame), "
             "R1/R2 (km). A bare scenario name (e.g. reference) loads a packaged scenario."
         ),
-        epilog="Exit codes: 0 ok, 2 scenario/config error, overflowing scenario "
-               "numbers or unwritable output path, 3 singular/blown-up "
-               "computation, 4 violated wincheck precondition.",
+        epilog="Exit codes: 0 ok, 2 scenario/config error, non-finite option "
+               "value, overflowing scenario numbers (either method) or "
+               "unwritable output path, 3 singular/blown-up computation, "
+               "4 violated wincheck precondition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

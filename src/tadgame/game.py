@@ -1,5 +1,5 @@
-"""Pursuit game model: scenario, closed-form trajectory propagation
-through the D matrix with the saddle-point strategies taken from the
+"""Pursuit game model: scenario, closed-form trajectory propagation in
+the constants frame with the saddle-point strategies taken from the
 costates, and the game cost.
 
 The pursuer chases a passive target sitting at the origin of the rotating
@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .orbital_core import ReferenceOrbit, rho
+# _u_blocks_arrays, riccati_p unused: perfbench/spans.py traces them (tests/test_traced_names.py)
 from .riccati import (
-    WeightSet, _chunks, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays, riccati_p)
+    WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays, riccati_p)
 
 
 # most grid steps a scenario may ask for: memory grows with the grid (the
@@ -109,23 +110,44 @@ class Trajectory:
     cost: float
 
 
-def _propagator(orbit, weights, o11, c1, p0):
-    """D = U11 + U12 P(f0) from the blocks Omega11 and C1 from f0, with
-    U12 = M x C1 applied to the row blocks of P(f0)."""
-    w = (_coupling(orbit, weights) @ p0.reshape(2, -1)).reshape(2, 6, 12)
-    d = (c1[..., None, :, :] @ w).reshape(c1.shape[:-2] + (12, 12))
-    d[..., :6, :6] += o11
-    d[..., 6:, 6:] += o11
-    return d
+def _flow(config, t, t0, p0, z0):
+    """Joint states and costates at the table records t (scalar or array)
+    of the motions that start from the columns of z0 (12 or 12 x k) at the
+    record t0 of f0, where P(f0) = p0.  Arrays of shape t.shape + z0.shape.
+
+    In the constants frame only C_hat moves.  With the constants
+    kappa_i = phi(f0)^T (P(f0) z0)_i, player i's state is
+    phi(f) [phi^-1(f0) z0_i + (C_hat(f) - C_hat(f0)) sum_j M_ij kappa_j]
+    and its costate phi(f)^-T kappa_i (M from _coupling).  Nodes at f0
+    return z0 and P(f0) z0 exactly."""
+    lam0 = p0 @ z0
+
+    # both players side by side in the columns: one 6x6 by 6x2k product per
+    # node is faster, and rounds closer to a long-double evaluation, than
+    # one 6x6 by 6xk product per player
+    def cols(v):  # (12, ...) -> (6, 2k)
+        return v.reshape(2, 6, -1).swapaxes(0, 1).reshape(6, -1)
+
+    def rows(v):  # (..., 6, 2k) -> (..., 12, ...), the inverse of cols
+        v = v.reshape(v.shape[:-1] + (2, -1)).swapaxes(-3, -2)
+        return v.reshape(v.shape[:-3] + z0.shape)
+
+    kappa = t0["phi"].T @ cols(lam0)
+    drive = (_coupling(config.orbit, config.weights) @ kappa.reshape(6, 2, -1)).reshape(6, -1)
+    consts = t0["inv"] @ cols(z0) + (t["chat"] - t0["chat"]) @ drive
+    y = rows(t["phi"] @ consts)
+    costates = rows(np.swapaxes(t["inv"], -1, -2) @ kappa)
+    at0 = t["f"] == t0["f"]
+    y[at0], costates[at0] = z0, lam0
+    return y, costates
 
 
 def _d_grid(config, f):
     """Propagation matrix D(f) = U11(f, f0) + U12(f, f0) P(f0), mapping the
-    initial joint state to the joint state at a scalar or array anomaly f."""
-    orbit, weights = config.orbit, config.weights
-    p0 = riccati_p(orbit, weights, config.f0, config.ff)
-    o11, _, c1 = _u_blocks_arrays(_tables(orbit, f), _tables(orbit, config.f0))
-    return _propagator(orbit, weights, o11, c1, p0)
+    initial joint state to the joint state at a scalar or array anomaly f:
+    the flow of the columns of the identity."""
+    t0, p0 = _riccati_p_arrays(config.orbit, config.weights, config.f0, config.ff)
+    return _flow(config, _tables(config.orbit, f), t0, p0, np.eye(12))[0]
 
 
 def _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d):
@@ -144,23 +166,6 @@ def cost(config, trajectory):
     )
 
 
-def _states(config, t, t0, p0):
-    """The one state loop: joint states D(f) y0 (N, 12) and costates
-    Omega22 lam0 (N, 6, 2) at the table records t, from the record t0 at f0
-    and P(f0), one chunk at a time so that no 12x12 stack outlives it."""
-    orbit, weights = config.orbit, config.weights
-    y0 = np.concatenate([config.x_a0, config.x_da0])
-    lam0 = (p0 @ y0).reshape(2, 6).T
-    y = np.empty((t.size, 12))
-    costates = np.empty((t.size, 6, 2))
-    for chunk in _chunks(t.size):
-        o11, o22, c1 = _u_blocks_arrays(t[chunk], t0)
-        costates[chunk] = o22 @ lam0
-        del o22  # freed before D, the largest stack of a chunk, is built
-        y[chunk] = _propagator(orbit, weights, o11, c1, p0) @ y0
-    return y, costates
-
-
 def _require_finite(what, *arrays):
     """Raise OverflowError unless every value is finite (the inputs are)."""
     if not all(np.all(np.isfinite(a)) for a in arrays):
@@ -170,9 +175,9 @@ def _require_finite(what, *arrays):
 def propagate_analytical(config):
     """Propagate the equilibrium game over the whole grid in closed form.
 
-    One table evaluation on the grid gives every block: the factor is
+    One table evaluation on the grid gives everything: the factor is
     checked at every node and P(f0) taken from its inverse at the first,
-    then _states gives the states D(f) y0 and the costates.  The
+    then _flow gives the states and the costates from y0.  The
     saddle-point controls come from the costates on the whole grid,
     u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v.
     Raises OverflowError where a result is not finite."""
@@ -180,9 +185,10 @@ def propagate_analytical(config):
     grid = config.grid
     t, p0 = _riccati_p_arrays(orbit, weights, grid, config.ff)
     with np.errstate(over="ignore", invalid="ignore"):
-        y, costates = _states(config, t, t[0], p0)
+        y0 = np.concatenate([config.x_a0, config.x_da0])
+        y, costates = _flow(config, t, t[0], p0, y0)
         x_a, x_da = y[:, 0:6], y[:, 6:12]
-        lam, nu = costates[..., 0], costates[..., 1]
+        lam, nu = costates[:, 0:6], costates[:, 6:12]
         scale = orbit.beta / rho(orbit, grid) ** 3
         u_a = -(scale[:, None] / weights.r_a) * (lam - nu)[:, 3:6]
         u_d = (scale[:, None] / weights.r_d) * nu[:, 3:6]

@@ -222,7 +222,8 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     Runge-Kutta mid-stages sample the stored interval-midpoint P.
     Optional per-node open-loop control offsets (shape (N+1, 3)) are added
     to a player's feedback control, interpolated linearly; they exist for
-    equilibrium-deviation studies."""
+    equilibrium-deviation studies.  An initial state already past the
+    blow-up limit raises OverflowError before the first step."""
     orbit = config.orbit
     weights = config.weights
     e = orbit.e
@@ -280,6 +281,9 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
         return field
 
     y = list(config.x_a0) + list(config.x_da0)
+    if any(abs(v) > _BLOWUP_LIMIT for v in y):
+        raise OverflowError(f"initial state exceeds {_BLOWUP_LIMIT:.0e}: "
+                            "the scenario's numbers are too large")
     states = [list(y)]
     controls = []
     costates = []

@@ -328,14 +328,9 @@ def _factor(orbit, weights, o22, c1):
     return factor
 
 
-# grid nodes per pass of the grid loops: every 12x12 and 6x6 stack they
-# build lives for one chunk only (a 12x12 stack of 512 is 590 kB)
+# grid nodes per pass of the factor check: every 12x12 and 6x6 stack it
+# builds lives for one chunk only (a 12x12 stack of 512 is 590 kB)
 _CHUNK = 512
-
-
-def _chunks(n):
-    """Slices that cover n grid nodes in order, _CHUNK nodes at a time."""
-    return [slice(k, min(k + _CHUNK, n)) for k in range(0, n, _CHUNK)]
 
 
 def _riccati_p_arrays(orbit, weights, f, ff):
@@ -353,16 +348,17 @@ def _riccati_p_arrays(orbit, weights, f, ff):
     tff = _tables(orbit, ff)
     what = "factor U22 - S U12"
     last_nonpos = None
-    for chunk in _chunks(nodes.size):
-        o11, o22, c1 = _u_blocks_arrays(tff, nodes[chunk])
+    for start in range(0, nodes.size, _CHUNK):
+        chunk = nodes[start:start + _CHUNK]
+        o11, o22, c1 = _u_blocks_arrays(tff, chunk)
         factor = _factor(orbit, weights, o22, c1)
-        inv, sign = _checked_inverse(factor, nodes[chunk]["f"], SingularFactor, what)
-        if chunk.start == 0:
+        inv, sign = _checked_inverse(factor, chunk["f"], SingularFactor, what)
+        if start == 0:
             o11_0, inv_0 = o11[0], inv[0]
         nonpos = np.flatnonzero(sign < 0)
         if nonpos.size:
             j = nonpos[-1]
-            last_nonpos = (chunk.start + j, float(_kappa1(factor[j], inv[j])))
+            last_nonpos = (start + j, float(_kappa1(factor[j], inv[j])))
     if last_nonpos is not None:
         k, cond = last_nonpos
         fs = np.append(nodes["f"], ff)

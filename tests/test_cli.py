@@ -241,14 +241,20 @@ class TestExitCodes:
         code, _, err = run(["wincheck", path, "--rd0", "1,2"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("command", ["simulate", "wincheck"])
-    def test_overflowing_initial_state(self, tmp_path, capsys, command):
-        # finite but so large that the squared distances overflow: one
-        # stderr line and exit 2, no warning and no Infinity or NaN on stdout
-        path = scenario_file(tmp_path, xa0="0, 1e200, 0, 0, 0, 0")
+    @pytest.mark.parametrize("argv, horizon", [
+        (["simulate"], {}),
+        (["wincheck"], {}),
+        # ten grid steps keep the RK4 Riccati sweep before the check cheap
+        (["simulate", "--method", "numerical"], {"ff": repr(10 * math.pi / 500.0)}),
+    ], ids=["simulate", "wincheck", "simulate-numerical"])
+    def test_overflowing_initial_state(self, tmp_path, capsys, argv, horizon):
+        # finite but so large that the squared distances overflow, and far
+        # past the RK4 blow-up limit: one stderr line and exit 2, no warning
+        # and no Infinity or NaN on stdout
+        path = scenario_file(tmp_path, xa0="0, 1e200, 0, 0, 0, 0", **horizon)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run([command, path], capsys)
+            code, out, err = run([*argv, path], capsys)
         assert code == 2 and out == ""
         assert err.startswith("OverflowError:") and err.count("\n") == 1
 
@@ -408,6 +414,16 @@ class TestSweepE:
         bad = lines[2].split(",", 5)
         assert good[1] == "true" and good[5] == ""
         assert bad[1] == "" and "ValueError" in bad[5]
+
+    @pytest.mark.parametrize("e_list", ["0.1,nan", "inf,0.1", "0.1,x"])
+    def test_non_finite_or_malformed_list_exits_2(self, tmp_path, capsys, e_list):
+        out_path = tmp_path / "sweep.csv"
+        code, out, err = run(
+            ["sweep-e", "reference", "--e-list", e_list, "--out", str(out_path)], capsys
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
+        assert not out_path.exists()
 
 
 class TestEllipsoids:

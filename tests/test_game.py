@@ -6,9 +6,10 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from conftest import reference_config, reference_orbit, reference_weights
-from properties import feedback_along, feedback_controls, max_rel
+from properties import coupled_system_matrix, feedback_along, feedback_controls, max_rel
 from tadgame import riccati
 from tadgame.game import Trajectory, _d_grid, cost, propagate_analytical
 from tadgame.numerical_baseline import _a_rows, _w_rows
@@ -253,8 +254,9 @@ class TestPropagateAnalytical:
     @pytest.mark.parametrize("run", [propagate_analytical, scan_quadratics],
                              ids=["propagate_analytical", "scan_quadratics"])
     def test_peak_memory_per_node(self, run):
-        # every 12x12 and 6x6 stack lives for one chunk only, so on the
-        # 10-revolution grid the peak is the tables and the outputs
+        # the factor check holds its 12x12 and 6x6 stacks for one chunk
+        # only, and the flow builds one 6x6 stack, of C_hat differences, so
+        # on the 10-revolution grid the peak is the tables and the outputs
         cfg = reference_config(ff=20.0 * np.pi)
         run(cfg)
         tracemalloc.start()
@@ -264,6 +266,35 @@ class TestPropagateAnalytical:
         finally:
             tracemalloc.stop()
         assert peak / 1024.0 / cfg.grid.size <= 1.5
+
+
+class TestConstantsFrameOracle:
+    # the closed form against the coupled state/costate system integrated
+    # by scipy over one revolution, at eccentricities off the reference
+    @pytest.mark.parametrize("e", [0.0, 0.3, 0.5])
+    def test_states_costates_and_d(self, e):
+        cfg = reference_config(orbit=replace(ORBIT, e=e))
+        orb, w = cfg.orbit, cfg.weights
+        p0 = riccati_p(orb, w, cfg.f0, cfg.ff)
+
+        def flow(z0, at):
+            def field(f, z):
+                return (coupled_system_matrix(e, f, orb.beta, w.r_a, w.r_d)
+                        @ z.reshape(24, -1)).ravel()
+            sol = solve_ivp(field, (cfg.f0, cfg.ff), z0.ravel(), method="DOP853",
+                            rtol=1e-12, atol=1e-14, t_eval=at)
+            return sol.y.T.reshape((len(at),) + z0.shape)
+
+        traj = propagate_analytical(cfg)
+        y0 = np.concatenate([cfg.x_a0, cfg.x_da0])
+        want = flow(np.concatenate([y0, p0 @ y0]), cfg.grid)
+        assert max_rel(np.hstack([traj.x_a, traj.x_da]), want[:, :12]) <= 1e-8
+        assert max_rel(np.hstack([traj.lam, traj.nu]), want[:, 12:]) <= 1e-8
+        fs = np.array([0.5, 2.0, 4.0, 6.17, cfg.ff])
+        want_d = flow(np.vstack([np.eye(12), p0]), fs)[:, :12]
+        got_d = _d_grid(cfg, fs)
+        for got, want in zip(got_d, want_d):
+            assert max_rel(got, want) <= 1e-8
 
 
 class TestCost:
