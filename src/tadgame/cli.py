@@ -11,7 +11,8 @@ so large that a closed-form result overflows or that the numerical
 route's initial state already exceeds its blow-up limit, an ellipsoids
 anomaly outside [f0, ff] and an output path that cannot be written, which
 is checked before any work, included), 3 singular or blown-up
-computation, 4 violated wincheck precondition.
+computation, 4 violated winning-condition precondition (hovering states,
+admissible --rd0) in wincheck, sweep-e and ellipsoids.
 """
 
 import argparse
@@ -23,13 +24,13 @@ import os
 import statistics
 import sys
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Optional
+from dataclasses import replace
 
 import numpy as np
 
 from .game import GameConfig, propagate_analytical
-from .numerical_baseline import NumericalBlowup, integrate_riccati_backward, simulate_numerical
+from .numerical_baseline import NumericalBlowup, _require_bounded_start
+from .numerical_baseline import integrate_riccati_backward, simulate_numerical
 from .orbital_core import ReferenceOrbit
 from .riccati import SingularFactor, WeightSet
 from .winning import (
@@ -56,23 +57,6 @@ class ScenarioError(ValueError):
 
 class PreconditionError(ValueError):
     """A subcommand precondition (hovering states, admissible Rd0) failed."""
-
-
-@dataclass(frozen=True)
-class SummaryRecord:
-    """One method's run summary, serialized with these exact field names."""
-
-    method: str
-    dist_at: float
-    dist_da: float
-    J: float
-    wall_seconds: float
-    outcome: str
-    f_capture: Optional[float]
-    f_intercept: Optional[float]
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def _numbers(text, what, count=None):
@@ -151,26 +135,21 @@ def _fmt(x):
     return f"{float(x):.15g}"
 
 
-def write_trajectory_csv(path, traj):
-    header = (
-        ["f"]
-        + [f"xa{i}" for i in range(1, 7)]
-        + [f"xda{i}" for i in range(1, 7)]
-        + [f"ua{i}" for i in range(1, 4)]
-        + [f"ud{i}" for i in range(1, 4)]
-        + ["dist_at", "dist_da"]
-    )
+def _write_csv(path, header, rows):
+    """Write one CSV table: string cells as given, numbers through _fmt."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for k in range(traj.grid.shape[0]):
-            row = (
-                [traj.grid[k]]
-                + list(traj.x_a[k]) + list(traj.x_da[k])
-                + list(traj.u_a[k]) + list(traj.u_d[k])
-                + [traj.dist_at[k], traj.dist_da[k]]
-            )
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows([c if isinstance(c, str) else _fmt(c) for c in row] for row in rows)
+
+
+def write_trajectory_csv(path, traj):
+    blocks = (("xa", 6), ("xda", 6), ("ua", 3), ("ud", 3))
+    header = ["f", *(f"{name}{i}" for name, n in blocks for i in range(1, n + 1)),
+              "dist_at", "dist_da"]
+    _write_csv(path, header, np.column_stack([
+        traj.grid, traj.x_a, traj.x_da, traj.u_a, traj.u_d, traj.dist_at, traj.dist_da,
+    ]))
 
 
 def read_trajectory_csv(path):
@@ -191,6 +170,7 @@ def _run_analytical(config):
 
 def _run_numerical(config):
     t0 = time.perf_counter()
+    _require_bounded_start(config)  # the sweep takes ~20 s at N = 1001; fail first
     pgrid = integrate_riccati_backward(config)
     traj = simulate_numerical(config, pgrid)
     return traj, time.perf_counter() - t0
@@ -199,18 +179,19 @@ def _run_numerical(config):
 _RUNNERS = {"analytical": _run_analytical, "numerical": _run_numerical}
 
 
-def _summarize(method, traj, seconds, sets):
-    outcome = classify_outcome(traj, sets)
-    return SummaryRecord(
-        method=method,
-        dist_at=float(traj.dist_at[-1]),
-        dist_da=float(traj.dist_da[-1]),
-        J=float(traj.cost),
-        wall_seconds=float(seconds),
-        outcome=outcome.tag.value,
-        f_capture=outcome.f_capture,
-        f_intercept=outcome.f_intercept,
-    )
+def _summarize(method, traj, seconds, config):
+    """One method's run summary, in its JSON field order."""
+    outcome = classify_outcome(traj, TerminalSets(config.r1, config.r2))
+    return {
+        "method": method,
+        "dist_at": float(traj.dist_at[-1]),
+        "dist_da": float(traj.dist_da[-1]),
+        "J": float(traj.cost),
+        "wall_seconds": float(seconds),
+        "outcome": outcome.tag.value,
+        "f_capture": outcome.f_capture,
+        "f_intercept": outcome.f_intercept,
+    }
 
 
 def _emit_json(payload, out_path):
@@ -224,10 +205,10 @@ def _emit_json(payload, out_path):
 def cmd_simulate(args):
     config = _load(args.scenario)
     traj, seconds = _RUNNERS[args.method](config)
-    record = _summarize(args.method, traj, seconds, TerminalSets(config.r1, config.r2))
+    summary = _summarize(args.method, traj, seconds, config)
     if args.out_traj:
         write_trajectory_csv(args.out_traj, traj)
-    _emit_json(record.to_dict(), args.out_summary)
+    _emit_json(summary, args.out_summary)
     return 0
 
 
@@ -238,19 +219,15 @@ def _rel_err(a, b):
 
 def cmd_compare(args):
     config = _load(args.scenario)
-    sets = TerminalSets(config.r1, config.r2)
     ana, t_ana = _run_analytical(config)
     num, t_num = _run_numerical(config)
-    rec_a = _summarize("analytical", ana, t_ana, sets)
-    rec_n = _summarize("numerical", num, t_num, sets)
     payload = {
-        "analytical": rec_a.to_dict(),
-        "numerical": rec_n.to_dict(),
-        "rel_err_dist_at": _rel_err(rec_a.dist_at, rec_n.dist_at),
-        "rel_err_dist_da": _rel_err(rec_a.dist_da, rec_n.dist_da),
-        "rel_err_J": _rel_err(rec_a.J, rec_n.J),
-        "time_ratio": t_num / t_ana,
+        "analytical": _summarize("analytical", ana, t_ana, config),
+        "numerical": _summarize("numerical", num, t_num, config),
     }
+    for key in ("dist_at", "dist_da", "J"):
+        payload[f"rel_err_{key}"] = _rel_err(payload["analytical"][key], payload["numerical"][key])
+    payload["time_ratio"] = t_num / t_ana
     _emit_json(payload, args.out)
     return 0
 
@@ -263,17 +240,10 @@ def cmd_wincheck(args):
             config = config.with_defender_position(rd0)
         except ValueError as exc:
             raise PreconditionError(str(exc))
-    try:
-        fs, v1, v2 = scan_quadratics(config)
-    except NotHovering as exc:
-        raise PreconditionError(str(exc))
+    fs, v1, v2 = scan_quadratics(config)
     wins, f_a = attacker_wins(fs, v1, v2)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["f", "g1", "g2"])
-            for k in range(fs.shape[0]):
-                writer.writerow([_fmt(fs[k]), _fmt(v1[k]), _fmt(v2[k])])
+        _write_csv(args.out, ["f", "g1", "g2"], np.column_stack([fs, v1, v2]))
     # fs = grid[1:], so the node before f_a = fs[i] is grid[i]
     f_an = None if f_a is None else float(config.grid[np.searchsorted(fs, f_a)])
     _emit_json({"attacker_wins": wins, "f_a": f_a, "f_an": f_an}, None)
@@ -284,62 +254,39 @@ def cmd_sweep_e(args):
     config = _load(args.scenario)
     rows = []
     for e in _numbers(args.e_list, "--e-list"):
-        row = {"e": _fmt(e), "attacker_wins": "", "f_a": "",
-               "min_g1": "", "min_g2": "", "error": ""}
         try:
-            swept = replace(config, orbit=replace(config.orbit, e=e))
-            fs, v1, v2 = scan_quadratics(swept)
-            wins, f_a = attacker_wins(fs, v1, v2)
-            row["attacker_wins"] = "true" if wins else "false"
-            row["f_a"] = _fmt(f_a) if f_a is not None else ""
-            row["min_g1"] = _fmt(v1.min())
-            row["min_g2"] = _fmt(v2.min())
-        except Exception as exc:
-            row["error"] = f"{type(exc).__name__}: {exc}"
-        rows.append(row)
-    fields = ["e", "attacker_wins", "f_a", "min_g1", "min_g2", "error"]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+            fs, v1, v2 = scan_quadratics(replace(config, orbit=replace(config.orbit, e=e)))
+        except NotHovering:  # not this e's failure: it holds for every e
+            raise
+        except (ValueError, SingularFactor, OverflowError) as exc:  # e rejected, or its scan fails
+            rows.append([e, "", "", "", "", f"{type(exc).__name__}: {exc}"])
+            continue
+        wins, f_a = attacker_wins(fs, v1, v2)
+        rows.append([e, "true" if wins else "false", "" if f_a is None else f_a,
+                     v1.min(), v2.min(), ""])
+    _write_csv(args.out, ["e", "attacker_wins", "f_a", "min_g1", "min_g2", "error"], rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
 
 def cmd_ellipsoids(args):
     config = _load(args.scenario)
-    f_values = _numbers(args.f_list, "--f-list")
-    fields = (
-        ["f", "set"]
-        + [f"g{i}{j}" for i in range(1, 4) for j in range(1, 4)]
-        + ["cx", "cy", "cz", "radius", "error"]
-    )
+    header = ["f", "set", *(f"g{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)),
+              "cx", "cy", "cz", "radius", "error"]
     rows = []
-    for f in f_values:
+    for f in _numbers(args.f_list, "--f-list"):
         for which in ("S1", "S2"):
-            row = dict.fromkeys(fields, "")
-            row["f"], row["set"] = _fmt(f), which
             try:
                 ell = ellipsoid_at(config, f, which)
-            except NotHovering as exc:
-                raise PreconditionError(str(exc))
-            except ValueError as exc:  # an anomaly outside [f0, ff], NaN included
+            except NotHovering:
+                raise
+            except ValueError as exc:  # an anomaly outside [f0, ff]
                 raise ScenarioError(f"--f-list: {exc}")
             except SingularBlock as exc:
-                row["error"] = f"SingularBlock: {exc}"
-                rows.append(row)
+                rows.append([f, which] + [""] * 13 + [f"SingularBlock: {exc}"])
                 continue
-            for i in range(3):
-                for j in range(3):
-                    row[f"g{i + 1}{j + 1}"] = _fmt(ell.g[i, j])
-            for axis, name in enumerate(("cx", "cy", "cz")):
-                row[name] = _fmt(ell.center_offset[axis])
-            row["radius"] = _fmt(ell.radius)
-            rows.append(row)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+            rows.append([f, which, *ell.g.ravel(), *ell.center_offset, ell.radius, ""])
+    _write_csv(args.out, header, rows)
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0
 
@@ -380,7 +327,8 @@ def build_parser():
         epilog="Exit codes: 0 ok, 2 scenario/config error, non-finite option "
                "value, overflowing scenario numbers (either method) or "
                "unwritable output path, 3 singular/blown-up computation, "
-               "4 violated wincheck precondition.",
+               "4 violated winning-condition precondition (hovering states, "
+               "admissible --rd0) in wincheck, sweep-e and ellipsoids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -442,11 +390,8 @@ def main(argv=None):
     except ScenarioError as exc:
         print(f"cli.ScenarioError: {exc}", file=sys.stderr)
         return 2
-    except PreconditionError as exc:
+    except (PreconditionError, NotHovering) as exc:
         print(f"cli.PreconditionError: {exc}", file=sys.stderr)
-        return 4
-    except NotHovering as exc:
-        print(f"winning.NotHovering: {exc}", file=sys.stderr)
         return 4
     except (SingularFactor, NumericalBlowup, SingularBlock) as exc:
         module = type(exc).__module__.rsplit(".", 1)[-1]

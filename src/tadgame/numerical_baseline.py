@@ -216,6 +216,14 @@ def _controls_from_p(orbit, weights, pflat, xa, xda, f):
     return u_a, u_d
 
 
+def _require_bounded_start(config):
+    """OverflowError if the initial state already exceeds the blow-up
+    limit; needs only the scenario, so it can run before the sweep."""
+    if any(abs(v) > _BLOWUP_LIMIT for v in (*config.x_a0, *config.x_da0)):
+        raise OverflowError(f"initial state exceeds {_BLOWUP_LIMIT:.0e}: "
+                            "the scenario's numbers are too large")
+
+
 def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     """Forward closed-loop simulation against the stored Riccati grid.
 
@@ -280,10 +288,8 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
 
         return field
 
+    _require_bounded_start(config)
     y = list(config.x_a0) + list(config.x_da0)
-    if any(abs(v) > _BLOWUP_LIMIT for v in y):
-        raise OverflowError(f"initial state exceeds {_BLOWUP_LIMIT:.0e}: "
-                            "the scenario's numbers are too large")
     states = [list(y)]
     controls = []
     costates = []

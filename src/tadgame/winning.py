@@ -79,25 +79,26 @@ class Ellipsoid:
         return np.sum(v**2, axis=-1) - self.radius**2
 
 
+def _first_hit(fs, hit1, hit2):
+    """Outcome of the first terminal-set hit over the samples fs, where
+    hit1 and hit2 mark the samples inside the capture and interception
+    sets.  Both sets hit at the same sample means a tie."""
+    n = len(fs)
+    i1, i2 = (int(np.argmax(hit)) if np.any(hit) else n for hit in (hit1, hit2))
+    if i1 == i2 == n:
+        return Outcome(tag=OutcomeTag.NOBODY_WINS)
+    tag = (OutcomeTag.ATTACKER_WINS if i1 < i2 else
+           OutcomeTag.DEFENDER_WINS if i2 < i1 else OutcomeTag.SIMULTANEOUS_CAPTURE)
+    return Outcome(tag=tag,
+                   f_capture=float(fs[i1]) if i1 <= i2 else None,
+                   f_intercept=float(fs[i2]) if i2 <= i1 else None)
+
+
 def classify_outcome(trajectory, sets):
     """Scan the trajectory grid after the initial node and report the first
-    terminal-set hit.  Both sets hit at the same sample means a tie."""
-    hit1 = trajectory.dist_at[1:] <= sets.r1
-    hit2 = trajectory.dist_da[1:] <= sets.r2
-    i1 = int(np.argmax(hit1)) + 1 if np.any(hit1) else None
-    i2 = int(np.argmax(hit2)) + 1 if np.any(hit2) else None
-    grid = trajectory.grid
-    if i1 is not None and (i2 is None or i1 < i2):
-        return Outcome(tag=OutcomeTag.ATTACKER_WINS, f_capture=float(grid[i1]))
-    if i2 is not None and (i1 is None or i2 < i1):
-        return Outcome(tag=OutcomeTag.DEFENDER_WINS, f_intercept=float(grid[i2]))
-    if i1 is not None:
-        return Outcome(
-            tag=OutcomeTag.SIMULTANEOUS_CAPTURE,
-            f_capture=float(grid[i1]),
-            f_intercept=float(grid[i2]),
-        )
-    return Outcome(tag=OutcomeTag.NOBODY_WINS)
+    terminal-set hit."""
+    return _first_hit(trajectory.grid[1:], trajectory.dist_at[1:] <= sets.r1,
+                      trajectory.dist_da[1:] <= sets.r2)
 
 
 def _require_hovering(config):
@@ -160,16 +161,13 @@ def attacker_wins(fs, v1, v2):
     """Closed-form winning decision on a scan (fs, v1, v2) from
     scan_quadratics.
 
-    Finds the first anomaly f_a with g1(f_a) <= 0 and requires g2 > 0
-    everywhere up to and including f_a.  Returns (wins, f_a); f_a is None
-    when the pursuer never wins."""
-    hits = v1 <= 0.0
-    if not np.any(hits):
-        return False, None
-    i = int(np.argmax(hits))
-    if np.all(v2[: i + 1] > 0.0):
-        return True, float(fs[i])
-    return False, None
+    The first-hit rule of classify_outcome with g1 <= 0 as capture and
+    g2 <= 0 as interception: the pursuer wins at the first anomaly f_a with
+    g1(f_a) <= 0 if g2 > 0 everywhere up to and including f_a.  Returns
+    (wins, f_a); f_a is None when the pursuer never wins."""
+    outcome = _first_hit(fs, v1 <= 0.0, v2 <= 0.0)
+    wins = outcome.tag is OutcomeTag.ATTACKER_WINS
+    return wins, outcome.f_capture if wins else None
 
 
 def winning_set_membership(config, rd0):

@@ -13,7 +13,6 @@ import tadgame.winning
 from conftest import reference_config
 from tadgame.cli import (
     ScenarioError,
-    SummaryRecord,
     _rel_err,
     _resolve_scenario,
     main,
@@ -105,16 +104,6 @@ class TestResolve:
 
 
 class TestRecords:
-    def test_summary_fields(self):
-        rec = SummaryRecord(
-            method="analytical", dist_at=1.0, dist_da=2.0, J=3.0,
-            wall_seconds=0.1, outcome="NobodyWins", f_capture=None, f_intercept=None,
-        )
-        assert list(rec.to_dict()) == [
-            "method", "dist_at", "dist_da", "J", "wall_seconds",
-            "outcome", "f_capture", "f_intercept",
-        ]
-
     def test_rel_err_identity(self):
         assert _rel_err(0.5091, 0.5091) == 0.0
 
@@ -236,6 +225,21 @@ class TestExitCodes:
         assert code == 4
         assert "PreconditionError" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep-e", "SCENARIO", "--e-list", "0,0.3", "--out"],
+        ["ellipsoids", "SCENARIO", "--f-list", "1.0", "--out"],
+    ], ids=["sweep-e", "ellipsoids"])
+    def test_winning_commands_require_hovering(self, tmp_path, capsys, argv):
+        # the precondition holds for every e and f, so it stops the command
+        # instead of becoming an error row
+        path = scenario_file(tmp_path, xa0="0.0, 20.0, 0.0, 0.001, 0.0, 0.0")
+        out_path = tmp_path / "out.csv"
+        code, out, err = run([path if a == "SCENARIO" else a for a in argv] + [str(out_path)],
+                             capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("cli.PreconditionError:") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_wincheck_malformed_rd0(self, tmp_path, capsys):
         path = scenario_file(tmp_path)
         code, _, err = run(["wincheck", path, "--rd0", "1,2"], capsys)
@@ -244,7 +248,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, horizon", [
         (["simulate"], {}),
         (["wincheck"], {}),
-        # ten grid steps keep the RK4 Riccati sweep before the check cheap
+        # ten grid steps; test_numerical_start_checked_before_sweep runs
+        # the full horizon
         (["simulate", "--method", "numerical"], {"ff": repr(10 * math.pi / 500.0)}),
     ], ids=["simulate", "wincheck", "simulate-numerical"])
     def test_overflowing_initial_state(self, tmp_path, capsys, argv, horizon):
@@ -255,6 +260,18 @@ class TestExitCodes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run([*argv, path], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("OverflowError:") and err.count("\n") == 1
+
+    def test_numerical_start_checked_before_sweep(self, tmp_path, capsys, monkeypatch):
+        # past the RK4 blow-up limit at the start: exit 2 before the
+        # backward sweep of the full reference horizon begins
+        def no_sweep(config):
+            raise AssertionError("the backward sweep ran")
+
+        monkeypatch.setattr(tadgame.cli, "integrate_riccati_backward", no_sweep)
+        path = scenario_file(tmp_path, xa0="0, 2e15, 0, 0, 0, 0")
+        code, out, err = run(["simulate", path, "--method", "numerical"], capsys)
         assert code == 2 and out == ""
         assert err.startswith("OverflowError:") and err.count("\n") == 1
 
@@ -414,6 +431,17 @@ class TestSweepE:
         bad = lines[2].split(",", 5)
         assert good[1] == "true" and good[5] == ""
         assert bad[1] == "" and "ValueError" in bad[5]
+
+    def test_undocumented_failure_propagates(self, tmp_path, monkeypatch):
+        # only a rejected e, SingularFactor and OverflowError become rows
+        def broken(config):
+            raise RuntimeError("broken scan")
+
+        monkeypatch.setattr(tadgame.cli, "scan_quadratics", broken)
+        out_path = tmp_path / "sweep.csv"
+        with pytest.raises(RuntimeError, match="broken scan"):
+            main(["sweep-e", "reference", "--e-list", "0.1", "--out", str(out_path)])
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("e_list", ["0.1,nan", "inf,0.1", "0.1,x"])
     def test_non_finite_or_malformed_list_exits_2(self, tmp_path, capsys, e_list):

@@ -104,6 +104,27 @@ class TestClassifyOutcome:
         assert out.f_capture == traj.grid[984]
 
 
+class TestOneFirstHitRule:
+    # (dist_at, dist_da) over six nodes against radii 0.01, and the outcome
+    @pytest.mark.parametrize("dist_at, dist_da, tag", [
+        ([1.0] * 6, [1.0] * 6, OutcomeTag.NOBODY_WINS),
+        ([1, 1, 0.005, 1, 1, 1], [1, 1, 1, 0.005, 1, 1], OutcomeTag.ATTACKER_WINS),
+        ([1, 1, 1, 0.005, 1, 1], [1, 1, 0.005, 1, 1, 1], OutcomeTag.DEFENDER_WINS),
+        ([1, 1, 0.005, 1, 1, 1], [1, 1, 0.005, 1, 1, 1], OutcomeTag.SIMULTANEOUS_CAPTURE),
+        ([0.005, 1, 1, 1, 1, 1], [1, 0.005, 1, 1, 1, 1], OutcomeTag.DEFENDER_WINS),
+    ], ids=["nobody", "capture-first", "interception-first", "tie", "initial-node"])
+    def test_trajectory_and_scan_verdicts_agree(self, dist_at, dist_da, tag):
+        # the scan covers the grid after f0 and reads g = dist^2 - r^2
+        sets = TerminalSets(r1=0.01, r2=0.01)
+        t = synthetic_trajectory(dist_at, dist_da)
+        out = classify_outcome(t, sets)
+        assert out.tag is tag
+        wins, f_a = attacker_wins(t.grid[1:], t.dist_at[1:] ** 2 - sets.r1**2,
+                                  t.dist_da[1:] ** 2 - sets.r2**2)
+        assert wins == (out.tag is OutcomeTag.ATTACKER_WINS)
+        assert f_a == (out.f_capture if wins else None)
+
+
 class TestScanAndWin:
     def test_scan_signs(self, ref_config):
         fs, v1, v2 = scan_quadratics(ref_config)
