@@ -152,16 +152,6 @@ def write_trajectory_csv(path, traj):
     ]))
 
 
-def read_trajectory_csv(path):
-    """Inverse of write_trajectory_csv, for round-trip checks."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        rows = [[float(v) for v in row] for row in reader]
-    data = np.array(rows)
-    return header, data
-
-
 def _run_analytical(config):
     t0 = time.perf_counter()
     traj = propagate_analytical(config)
@@ -256,8 +246,6 @@ def cmd_sweep_e(args):
     for e in _numbers(args.e_list, "--e-list"):
         try:
             fs, v1, v2 = scan_quadratics(replace(config, orbit=replace(config.orbit, e=e)))
-        except NotHovering:  # not this e's failure: it holds for every e
-            raise
         except (ValueError, SingularFactor, OverflowError) as exc:  # e rejected, or its scan fails
             rows.append([e, "", "", "", "", f"{type(exc).__name__}: {exc}"])
             continue
@@ -278,8 +266,6 @@ def cmd_ellipsoids(args):
         for which in ("S1", "S2"):
             try:
                 ell = ellipsoid_at(config, f, which)
-            except NotHovering:
-                raise
             except ValueError as exc:  # an anomaly outside [f0, ff]
                 raise ScenarioError(f"--f-list: {exc}")
             except SingularBlock as exc:

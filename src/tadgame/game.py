@@ -157,15 +157,6 @@ def _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d):
     return 0.5 * terminal + 0.5 * float(np.trapezoid(running, grid))
 
 
-def cost(config, trajectory):
-    """Game cost J: terminal quadratic terms plus the trapezoid quadrature
-    of the running control costs on the trajectory grid."""
-    return _cost_from_arrays(
-        config, trajectory.grid, trajectory.x_a, trajectory.x_da,
-        trajectory.u_a, trajectory.u_d,
-    )
-
-
 def _require_finite(what, *arrays):
     """Raise OverflowError unless every value is finite (the inputs are)."""
     if not all(np.all(np.isfinite(a)) for a in arrays):

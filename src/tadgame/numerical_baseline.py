@@ -1,10 +1,13 @@
 """Fixed-step numerical counterpart of the closed-form game solution:
 backward Runge-Kutta integration of the matrix Riccati equation with the
-solution stored per grid node, then a forward closed-loop simulation.
+solution stored per grid node and interval midpoint, then a forward
+closed-loop simulation whose controls come from the costate P y, with P
+and the control offsets taken at interval midpoints for the mid-stages.
 
 Everything here runs on plain Python floats and lists on purpose.  The
 module is the independent verification route and the benchmark baseline,
-so it shares no linear algebra with the closed-form path.
+so it shares no linear algebra with the closed-form path and takes only
+the Trajectory record from the package.
 """
 
 import functools
@@ -180,39 +183,15 @@ def integrate_riccati_backward(config, step=None):
     return PGrid(grid=np.array(nodes), p=p, p_mid=p_mid)
 
 
-def _lerp_rows(stack, idx):
-    """Linear interpolation of a per-node stack of flat lists at a fractional
-    node index."""
-    k = int(math.floor(idx))
-    if k < 0:
-        k = 0
-    if k > len(stack) - 2:
-        k = len(stack) - 2
-    t = idx - k
-    if t <= 0.0:
-        return stack[k]
-    if t >= 1.0:
-        return stack[k + 1]
-    lo = stack[k]
-    hi = stack[k + 1]
-    return [a + t * (b - a) for a, b in zip(lo, hi)]
-
-
-def _controls_from_p(orbit, weights, pflat, xa, xda, f):
-    """Feedback controls from a flattened P, plain floats."""
-    scale = orbit.beta / (1.0 + orbit.e * math.cos(f)) ** 3
-    u_a = [0.0, 0.0, 0.0]
-    u_d = [0.0, 0.0, 0.0]
-    for i in range(3):
-        row = 12 * (3 + i)
-        ga = 0.0
-        gd = 0.0
-        for j in range(6):
-            ga += (pflat[row + j] - pflat[row + 72 + j]) * xa[j]
-            ga += (pflat[row + 6 + j] - pflat[row + 72 + 6 + j]) * xda[j]
-            gd += pflat[row + 72 + j] * xa[j] + pflat[row + 72 + 6 + j] * xda[j]
-        u_a[i] = -scale / weights.r_a * ga
-        u_d[i] = scale / weights.r_d * gd
+def _controls(weights, scale, lam_v, nu_v, off_a, off_d):
+    """Saddle-point controls from the velocity rows of the joint costate
+    (lam, nu) = P y, with scale the control scale beta / rho^3, plus the
+    players' open-loop offsets:
+    u_a = -(scale / r_a) (lam - nu)_v + off_a, u_d = (scale / r_d) nu_v + off_d."""
+    g_a = -scale / weights.r_a
+    g_d = scale / weights.r_d
+    u_a = [g_a * (lam - nu) + o for lam, nu, o in zip(lam_v, nu_v, off_a)]
+    u_d = [g_d * nu + o for nu, o in zip(nu_v, off_d)]
     return u_a, u_d
 
 
@@ -227,64 +206,54 @@ def _require_bounded_start(config):
 def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     """Forward closed-loop simulation against the stored Riccati grid.
 
-    Runge-Kutta mid-stages sample the stored interval-midpoint P.
-    Optional per-node open-loop control offsets (shape (N+1, 3)) are added
-    to a player's feedback control, interpolated linearly; they exist for
-    equilibrium-deviation studies.  An initial state already past the
-    blow-up limit raises OverflowError before the first step."""
+    Every Runge-Kutta stage reads one stage record, the P rows and the
+    players' open-loop control offsets at a node or, for the mid-stages,
+    at the interval midpoint: the stored midpoint P and the mean of the two
+    node offsets.  Each control is the saddle-point formula on the costate
+    P y plus the player's offset.  The offsets (shape (N+1, 3), zero by
+    default) exist for equilibrium-deviation studies.  An initial state
+    already past the blow-up limit raises OverflowError before the first
+    step."""
     orbit = config.orbit
     weights = config.weights
     e = orbit.e
     grid = config.grid
     n_nodes = len(grid)
-    f0 = float(grid[0])
-    h_f = config.h_f
-
-    # ascending copies of the stored P, as flat python lists per node
-    order = np.argsort(pgrid.grid)
-    p_asc = [pgrid.p[i].ravel().tolist() for i in order]
-    if len(p_asc) != n_nodes:
+    if not np.array_equal(pgrid.grid[::-1], grid):
         raise ValueError("stored Riccati grid does not cover the scenario grid")
-    # interval i of the ascending grid is interval n-2-i of the sweep
-    p_mid_asc = [pgrid.p_mid[n_nodes - 2 - i].ravel().tolist()
-                 for i in range(n_nodes - 1)]
-
-    dev_a = None if attacker_dev is None else np.asarray(attacker_dev, dtype=float)
-    dev_d = None if defender_dev is None else np.asarray(defender_dev, dtype=float)
-    for name, dev in (("attacker_dev", dev_a), ("defender_dev", dev_d)):
-        if dev is not None and dev.shape != (n_nodes, 3):
+    devs = []
+    for name, dev in (("attacker_dev", attacker_dev), ("defender_dev", defender_dev)):
+        dev = np.zeros((n_nodes, 3)) if dev is None else np.asarray(dev, dtype=float)
+        if dev.shape != (n_nodes, 3):
             raise ValueError(f"{name} must have shape ({n_nodes}, 3)")
-    dev_a_rows = None if dev_a is None else [row.tolist() for row in dev_a]
-    dev_d_rows = None if dev_d is None else [row.tolist() for row in dev_d]
+        devs.append(dev)
+    dev_a, dev_d = devs
 
-    def controls_at(f, y, pflat):
-        u_a, u_d = _controls_from_p(orbit, weights, pflat, y[0:6], y[6:12], f)
-        idx = (f - f0) / h_f
-        if dev_a_rows is not None:
-            off = _lerp_rows(dev_a_rows, idx)
-            u_a = [u + o for u, o in zip(u_a, off)]
-        if dev_d_rows is not None:
-            off = _lerp_rows(dev_d_rows, idx)
-            u_d = [u + o for u, o in zip(u_d, off)]
-        return u_a, u_d
+    # stage records (P rows, attacker offset, defender offset) at the nodes
+    # and at the interval midpoints; the stored stacks run ff -> f0
+    def stage_records(p, off_a, off_d):
+        return list(zip(p.tolist(), off_a.tolist(), off_d.tolist()))
 
-    def field_with(f, y, pflat):
-        # x_a' = A x_a + b u_a and x_da' = A x_da + b (u_d - u_a), with b
-        # the control scale on the velocity rows
-        u_a, u_d = controls_at(f, y, pflat)
-        a = _a_rows(e, f)
-        scale = orbit.beta / (1.0 + e * math.cos(f)) ** 3
-        push = ([0.0] * 3 + [scale * u for u in u_a]
-                + [0.0] * 3 + [scale * (d - u) for d, u in zip(u_d, u_a)])
-        drift = _mat_vec(a, y[0:6]) + _mat_vec(a, y[6:12])
-        return [x + b for x, b in zip(drift, push)]
+    nodes = stage_records(pgrid.p[::-1], dev_a, dev_d)
+    mids = stage_records(pgrid.p_mid[::-1], 0.5 * (dev_a[:-1] + dev_a[1:]),
+                         0.5 * (dev_d[:-1] + dev_d[1:]))
 
-    def staged_field(stage_ps):
+    def staged_field(records):
         # the kernel evaluates stages in the fixed order k1, k2, k3, k4
-        stages = iter(stage_ps)
+        stages = iter(records)
 
         def field(f, y):
-            return field_with(f, y, next(stages))
+            # x_a' = A x_a + b u_a and x_da' = A x_da + b (u_d - u_a), with b
+            # the control scale on the velocity rows
+            prows, off_a, off_d = next(stages)
+            scale = orbit.beta / (1.0 + e * math.cos(f)) ** 3
+            u_a, u_d = _controls(weights, scale, _mat_vec(prows[3:6], y),
+                                 _mat_vec(prows[9:12], y), off_a, off_d)
+            a = _a_rows(e, f)
+            push = ([0.0] * 3 + [scale * u for u in u_a]
+                    + [0.0] * 3 + [scale * (d - u) for d, u in zip(u_d, u_a)])
+            drift = _mat_vec(a, y[0:6]) + _mat_vec(a, y[6:12])
+            return [x + b for x, b in zip(drift, push)]
 
         return field
 
@@ -293,17 +262,15 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     states = [list(y)]
     controls = []
     costates = []
-    for k in range(n_nodes):
+    for k, (prows, off_a, off_d) in enumerate(nodes):
         fk = float(grid[k])
-        u_a, u_d = controls_at(fk, y, p_asc[k])
-        controls.append((u_a, u_d))
-        pflat = p_asc[k]
-        prow = [pflat[12 * i:12 * i + 12] for i in range(12)]
-        costates.append(_mat_vec(prow, y))
+        costate = _mat_vec(prows, y)
+        scale = orbit.beta / (1.0 + e * math.cos(fk)) ** 3
+        controls.append(_controls(weights, scale, costate[3:6], costate[9:12], off_a, off_d))
+        costates.append(costate)
         if k == n_nodes - 1:
             break
-        mid = p_mid_asc[k]
-        field = staged_field([p_asc[k], mid, mid, p_asc[k + 1]])
+        field = staged_field([nodes[k], mids[k], mids[k], nodes[k + 1]])
         y = rk4_step(field, y, fk, float(grid[k + 1] - grid[k]))
         if any(abs(v) > _BLOWUP_LIMIT for v in y):
             raise NumericalBlowup(

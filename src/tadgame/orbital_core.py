@@ -51,11 +51,6 @@ class ReferenceOrbit:
         """Control scaling 1/n^2, s^2."""
         return 1.0 / (self.n * self.n)
 
-    @property
-    def a(self):
-        """Semimajor axis, km."""
-        return self.p / (1.0 - self.e * self.e)
-
 
 def rho(orbit, f):
     """1 + e cos f."""

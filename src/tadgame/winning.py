@@ -28,7 +28,7 @@ class SingularBlock(RuntimeError):
         self.cond = cond
 
 
-class NotHovering(ValueError):
+class NotHovering(Exception):
     """The winning conditions require zero initial velocities."""
 
 

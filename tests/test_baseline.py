@@ -1,11 +1,14 @@
 """RK4 integrator, backward feedback-gain sweep, and forward simulation."""
 
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tadgame.numerical_baseline
 from conftest import reference_config, reference_orbit, reference_weights
 from properties import max_rel, riccati_rhs
 from tadgame.game import propagate_analytical
@@ -17,6 +20,7 @@ from tadgame.numerical_baseline import (
     rk4_step,
     simulate_numerical,
 )
+from tadgame.orbital_core import rho
 from tadgame.riccati import WeightSet, riccati_p
 
 ORBIT = reference_orbit()
@@ -205,6 +209,30 @@ class TestSimulate:
         with pytest.raises(ValueError, match="does not cover"):
             simulate_numerical(cfg, pgrid)
 
+    def test_rejects_pgrid_of_other_grid_with_same_node_count(self):
+        cfg = reference_config(ff=np.pi / 4.0)
+        other = reference_config(ff=np.pi / 2.0, h_f=2.0 * cfg.h_f)
+        assert len(other.grid) == len(cfg.grid)
+        with pytest.raises(ValueError, match="does not cover"):
+            simulate_numerical(cfg, zero_pgrid(other.grid))
+
+    def test_controls_follow_costate_formula(self, numerical_run):
+        # the oracle's controls are the saddle-point formula on its own
+        # costates (lam, nu) = P y at every node
+        _, traj, _, _ = numerical_run
+        scale = ORBIT.beta / rho(ORBIT, traj.grid)[:, None] ** 3
+        np.testing.assert_allclose(
+            traj.u_a, -(scale / WEIGHTS.r_a) * (traj.lam - traj.nu)[:, 3:6], rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(
+            traj.u_d, (scale / WEIGHTS.r_d) * traj.nu[:, 3:6], rtol=1e-14, atol=0.0)
+
+    def test_zero_deviations_are_the_default(self, ref_config, numerical_run):
+        pgrid, traj, _, _ = numerical_run
+        zeros = np.zeros((ref_config.n_steps + 1, 3))
+        got = simulate_numerical(ref_config, pgrid, attacker_dev=zeros, defender_dev=zeros)
+        for name in ("x_a", "x_da", "u_a", "u_d", "lam", "nu", "dist_at", "dist_da", "cost"):
+            assert np.array_equal(getattr(got, name), getattr(traj, name)), name
+
     def test_trajectory_shapes(self, numerical_run):
         _, traj, _, _ = numerical_run
         n = len(traj.grid)
@@ -212,3 +240,18 @@ class TestSimulate:
         assert traj.x_a.shape == (n, 6)
         assert traj.u_d.shape == (n, 3)
         assert np.array_equal(traj.dist_at, np.linalg.norm(traj.x_a[:, :3], axis=1))
+
+
+def test_oracle_takes_only_the_trajectory_record_from_the_package():
+    # the RK4 oracle checks the closed form, so it must not reach into it;
+    # relative imports and absolute tadgame imports both count
+    tree = ast.parse(Path(tadgame.numerical_baseline.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "tadgame"):
+            module = (node.module or "").removeprefix("tadgame.")
+            imported |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "tadgame" for a in node.names)
+    assert imported == {("game", "Trajectory")}

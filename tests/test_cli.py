@@ -1,5 +1,6 @@
 """Scenario parsing, CSV/JSON outputs, exit codes, and the subcommands."""
 
+import csv
 import json
 import math
 import types
@@ -17,7 +18,6 @@ from tadgame.cli import (
     _resolve_scenario,
     main,
     parse_scenario,
-    read_trajectory_csv,
     write_trajectory_csv,
 )
 from tadgame.game import GameConfig, propagate_analytical
@@ -57,6 +57,15 @@ def run(argv, capsys):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def read_trajectory_csv(path):
+    """Inverse of write_trajectory_csv, for round-trip checks."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        rows = [[float(v) for v in row] for row in reader]
+    return header, np.array(rows)
 
 
 class TestParseScenario:

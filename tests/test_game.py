@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 from conftest import reference_config, reference_orbit, reference_weights
 from properties import coupled_system_matrix, feedback_along, feedback_controls, max_rel
 from tadgame import riccati
-from tadgame.game import Trajectory, _d_grid, cost, propagate_analytical
+from tadgame.game import Trajectory, _d_grid, propagate_analytical
 from tadgame.numerical_baseline import _a_rows, _w_rows
 from tadgame.orbital_core import rho
 from tadgame.riccati import riccati_p
@@ -298,21 +298,6 @@ class TestConstantsFrameOracle:
 
 
 class TestCost:
-    def test_zero_trajectory_zero_cost(self):
-        cfg = reference_config()
-        n = len(cfg.grid)
-        traj = Trajectory(
-            grid=cfg.grid, x_a=np.zeros((n, 6)), x_da=np.zeros((n, 6)),
-            u_a=np.zeros((n, 3)), u_d=np.zeros((n, 3)),
-            lam=np.zeros((n, 6)), nu=np.zeros((n, 6)),
-            dist_at=np.zeros(n), dist_da=np.zeros(n), cost=0.0,
-        )
-        assert cost(cfg, traj) == 0.0
-
-    def test_matches_stored_cost(self, analytical_run):
-        traj, _ = analytical_run
-        assert cost(reference_config(), traj) == traj.cost
-
     def test_trapezoid_quadrature(self, analytical_run):
         traj, _ = analytical_run
         running = (WEIGHTS.r_a * np.sum(traj.u_a**2, axis=1)
