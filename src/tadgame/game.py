@@ -12,14 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .orbital_core import ReferenceOrbit, rho
+from .orbital_core import _J, _K, ReferenceOrbit, rho
 # _u_blocks_arrays, riccati_p unused: perfbench/spans.py traces them (tests/test_traced_names.py)
 from .riccati import (
     WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays, riccati_p)
 
 
 # most grid steps a scenario may ask for: memory grows with the grid (the
-# tables and the outputs take ~1.4 kB per node), so 10^6 steps need ~1.4 GB
+# tables and the outputs take ~1.05 kB per node), so 10^6 steps need ~1.05 GB
 _MAX_STEPS = 10**6
 
 
@@ -118,8 +118,9 @@ def _flow(config, t, t0, p0, z0):
     In the constants frame only C_hat moves.  With the constants
     kappa_i = phi(f0)^T (P(f0) z0)_i, player i's state is
     phi(f) [phi^-1(f0) z0_i + (C_hat(f) - C_hat(f0)) sum_j M_ij kappa_j]
-    and its costate phi(f)^-T kappa_i (M from _coupling).  Nodes at f0
-    return z0 and P(f0) z0 exactly."""
+    and its costate phi(f)^-T kappa_i = -J phi(f) K kappa_i (M from
+    _coupling; phi^-1 = -K phi^T J, see orbital_core).  Nodes at f0 return
+    z0 and P(f0) z0 exactly."""
     lam0 = p0 @ z0
 
     # both players side by side in the columns: one 6x6 by 6x2k product per
@@ -134,9 +135,9 @@ def _flow(config, t, t0, p0, z0):
 
     kappa = t0["phi"].T @ cols(lam0)
     drive = (_coupling(config.orbit, config.weights) @ kappa.reshape(6, 2, -1)).reshape(6, -1)
-    consts = t0["inv"] @ cols(z0) + (t["chat"] - t0["chat"]) @ drive
+    consts = -_K @ t0["phi"].T @ _J @ cols(z0) + (t["chat"] - t0["chat"]) @ drive
     y = rows(t["phi"] @ consts)
-    costates = rows(np.swapaxes(t["inv"], -1, -2) @ kappa)
+    costates = rows(-_J @ (t["phi"] @ (_K @ kappa)))
     at0 = t["f"] == t0["f"]
     y[at0], costates[at0] = z0, lam0
     return y, costates
@@ -146,8 +147,9 @@ def _d_grid(config, f):
     """Propagation matrix D(f) = U11(f, f0) + U12(f, f0) P(f0), mapping the
     initial joint state to the joint state at a scalar or array anomaly f:
     the flow of the columns of the identity."""
-    t0, p0 = _riccati_p_arrays(config.orbit, config.weights, config.f0, config.ff)
-    return _flow(config, _tables(config.orbit, f), t0, p0, np.eye(12))[0]
+    ends = _tables(config.orbit, [config.f0, config.ff])
+    p0 = _riccati_p_arrays(config.orbit, config.weights, ends)
+    return _flow(config, _tables(config.orbit, f), ends[0], p0, np.eye(12))[0]
 
 
 def _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d):
@@ -174,7 +176,8 @@ def propagate_analytical(config):
     Raises OverflowError where a result is not finite."""
     orbit, weights = config.orbit, config.weights
     grid = config.grid
-    t, p0 = _riccati_p_arrays(orbit, weights, grid, config.ff)
+    t = _tables(orbit, grid)
+    p0 = _riccati_p_arrays(orbit, weights, t)
     with np.errstate(over="ignore", invalid="ignore"):
         y0 = np.concatenate([config.x_a0, config.x_da0])
         y, costates = _flow(config, t, t[0], p0, y0)

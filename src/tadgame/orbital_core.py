@@ -52,6 +52,17 @@ class ReferenceOrbit:
         return 1.0 / (self.n * self.n)
 
 
+# The plant is Hamiltonian: A(f)^T J + J A(f) = 0 for the skew form J, so
+# phi^T J phi is constant in f, and phi(0) makes it K for every e.  Each
+# entry of phi^-1 = -K phi^T J is then at most two entries of phi times
+# +-1 or +-2.
+_J = np.zeros((6, 6))
+_J[0, 1] = -2.0
+_J[0, 3] = _J[1, 4] = _J[2, 5] = 1.0
+_J -= _J.T
+_K = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+
+
 def rho(orbit, f):
     """1 + e cos f."""
     return 1.0 + orbit.e * np.cos(f)
@@ -68,16 +79,6 @@ def true_to_eccentric(orbit, f):
     return out if out.ndim else float(out)
 
 
-def eccentric_to_true(orbit, E):
-    """Inverse of true_to_eccentric on the same branch."""
-    e = orbit.e
-    E = np.asarray(E, dtype=float)
-    den = 1.0 - e * np.cos(E)
-    wrapped = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(E) / den, (np.cos(E) - e) / den)
-    out = wrapped + E - np.arctan2(np.sin(E), np.cos(E))
-    return out if out.ndim else float(out)
-
-
 def secular_l(orbit, f):
     """Secular term L(f) = (E - e sin E) / (1 - e^2)^(3/2), continued in f."""
     e = orbit.e
@@ -85,8 +86,13 @@ def secular_l(orbit, f):
     return (E - e * np.sin(E)) / (1.0 - e * e) ** 1.5
 
 
-def _phi_terms(orbit, f):
-    """Scalar building blocks of the fundamental matrix, vectorized over f."""
+def phi(orbit, f):
+    """Fundamental matrix of the uncontrolled relative motion at f.
+
+    Columns solve y' = A(f) y in the tilde coordinates; the in-plane part
+    mixes the two periodic solutions with the secular one, the out-of-plane
+    part is a rotation."""
+    f = np.asarray(f, dtype=float)
     e = orbit.e
     q = 1.0 - e * e
     sf = np.sin(f)
@@ -105,17 +111,6 @@ def _phi_terms(orbit, f):
     # antiderivative of 2*p3 + 1
     s31 = e * sf * (2.0 + e * cf) / q - 3.0 * r * r * lf / q
     p3p = 2.0 * (p1p * s2 - p2p * s1)
-    return sf, cf, p1, p2, p3, p1p, p2p, p3p, s1, s2, s31
-
-
-def phi(orbit, f):
-    """Fundamental matrix of the uncontrolled relative motion at f.
-
-    Columns solve y' = A(f) y in the tilde coordinates; the in-plane part
-    mixes the two periodic solutions with the secular one, the out-of-plane
-    part is a rotation."""
-    f = np.asarray(f, dtype=float)
-    sf, cf, p1, p2, p3, p1p, p2p, p3p, s1, s2, s31 = _phi_terms(orbit, f)
     out = np.zeros(f.shape + (6, 6))
     out[..., 0, 0] = p1
     out[..., 0, 1] = p2
@@ -138,25 +133,6 @@ def phi(orbit, f):
 
 
 def phi_inv(orbit, f):
-    """Closed-form inverse of phi(f); not a numerical inversion."""
-    f = np.asarray(f, dtype=float)
-    sf, cf, p1, p2, p3, p1p, p2p, p3p, s1, s2, s31 = _phi_terms(orbit, f)
-    out = np.zeros(f.shape + (6, 6))
-    out[..., 0, 0] = 4.0 * s2 + p2p
-    out[..., 0, 3] = -p2
-    out[..., 0, 4] = 2.0 * s2
-    out[..., 1, 0] = -4.0 * s1 - p1p
-    out[..., 1, 3] = p1
-    out[..., 1, 4] = -2.0 * s1
-    out[..., 2, 0] = -2.0
-    out[..., 2, 4] = -1.0
-    out[..., 3, 0] = -2.0 * s31 - p3p
-    out[..., 3, 1] = 1.0
-    out[..., 3, 3] = p3
-    out[..., 3, 4] = -s31
-    out[..., 4, 2] = cf
-    out[..., 4, 5] = -sf
-    out[..., 5, 2] = sf
-    out[..., 5, 5] = cf
-    return out
-
+    """Inverse of phi(f) from the symplectic identity, not a numerical
+    inversion: phi^T J phi = K gives phi^-1 = -K phi^T J."""
+    return -_K @ np.swapaxes(phi(orbit, f), -1, -2) @ _J

@@ -2,12 +2,14 @@
 the feedback strategies of the pursuit game.
 
 The control-weighted Gramian of the relative dynamics has an antiderivative
-in eccentric anomaly, C_hat(E).  One table evaluation gives phi, phi^-1 and
-C_hat at an anomaly array; every transition block of the coupled
-state/costate system is a 6x6 product of table records (U11 = I2 x Omega11,
-U12 = M x C1, U22 = I2 x Omega22; U21 vanishes because the costates evolve
-autonomously), and the Riccati solution P(f) is F^-1 S U11 with the factor
-F = U22 - S U12 inverted under one singularity policy.
+in eccentric anomaly, C_hat(E).  One table evaluation gives phi and C_hat at
+an anomaly array; phi^-1 = -K phi^T J follows from the plant's constant
+symplectic form (orbital_core), so every transition block of the coupled
+state/costate system is a 6x6 product of table records and the constants J
+and K (U11 = I2 x Omega11, U12 = M x C1, U22 = I2 x Omega22; U21 vanishes
+because the costates evolve autonomously), and the Riccati solution P(f) is
+F^-1 S U11 with the factor F = U22 - S U12 inverted under one singularity
+policy.
 """
 
 import math
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbital_core import phi, phi_inv, true_to_eccentric
+from .orbital_core import _J, _K, phi, true_to_eccentric
 
 # condition number kappa_1 past which a matrix inverted by the closed form
 # counts as singular, in riccati and in winning alike
@@ -266,9 +268,9 @@ def c_hat(orbit, E):
     return out
 
 
-# one table record per anomaly: f with phi(f), phi^-1(f) and C_hat(E(f))
-_TABLE = np.dtype([("f", float), ("phi", float, (6, 6)), ("inv", float, (6, 6)),
-                   ("chat", float, (6, 6))])
+# one table record per anomaly: f with phi(f) and C_hat(E(f)); phi^-1 is
+# not stored, as -K phi^T J gives it exactly
+_TABLE = np.dtype([("f", float), ("phi", float, (6, 6)), ("chat", float, (6, 6))])
 
 
 def _tables(orbit, f):
@@ -278,19 +280,19 @@ def _tables(orbit, f):
     t = np.empty(f.shape, _TABLE)
     t["f"] = f
     t["phi"] = phi(orbit, f)
-    t["inv"] = phi_inv(orbit, f)
     t["chat"] = c_hat(orbit, true_to_eccentric(orbit, f))
     return t
 
 
 def omega11(t2, t1):
-    """State transition matrix phi(f2) phi^-1(f1) from the tables at f2 and f1."""
-    return t2["phi"] @ t1["inv"]
+    """State transition matrix phi(f2) phi^-1(f1) = -phi(f2) K phi(f1)^T J."""
+    return t2["phi"] @ (-_K @ np.swapaxes(t1["phi"], -1, -2) @ _J)
 
 
 def omega22(t2, t1):
-    """Costate transition matrix phi^-1(f2)^T phi(f1)^T = omega11(t2, t1)^-T."""
-    return np.swapaxes(t2["inv"], -1, -2) @ np.swapaxes(t1["phi"], -1, -2)
+    """Costate transition matrix phi^-1(f2)^T phi(f1)^T = -J phi(f2) K phi(f1)^T,
+    that is omega11(t2, t1)^-T."""
+    return -(_J @ t2["phi"] @ _K) @ np.swapaxes(t1["phi"], -1, -2)
 
 
 def _u_blocks_arrays(t2, t1):
@@ -333,24 +335,20 @@ def _factor(orbit, weights, o22, c1):
 _CHUNK = 512
 
 
-def _riccati_p_arrays(orbit, weights, f, ff):
-    """Closed form at the anomaly array (or scalar) f for the horizon ending
-    at ff: the tables at f, and P = F^-1 S U11 at the first node of f as a
-    12x12 array.
+def _riccati_p_arrays(orbit, weights, t):
+    """P = F^-1 S U11 as a 12x12 array at the first of the table records t
+    (a 1-D array in grid order), for the horizon ending at the last.
 
-    The factor F (see _factor) is checked at every node, in grid order and
-    one chunk at a time: SingularFactor is raised where _checked_inverse
-    raises, and where det F <= 0.  F(ff) = I, so a nonpositive determinant
-    at f proves a conjugate point in (f, ff], and the largest such node f_k
-    brackets one in (f_k, f_k+1]."""
-    t = _tables(orbit, f)
-    nodes = t.reshape(-1)
-    tff = _tables(orbit, ff)
+    The factor F (see _factor) is checked at every record, one chunk at a
+    time: SingularFactor is raised where _checked_inverse raises, and where
+    det F <= 0.  F(ff) = I, so a nonpositive determinant at f proves a
+    conjugate point in (f, ff], and the largest such record f_k brackets
+    one in (f_k, f_k+1]."""
     what = "factor U22 - S U12"
     last_nonpos = None
-    for start in range(0, nodes.size, _CHUNK):
-        chunk = nodes[start:start + _CHUNK]
-        o11, o22, c1 = _u_blocks_arrays(tff, chunk)
+    for start in range(0, t.size, _CHUNK):
+        chunk = t[start:start + _CHUNK]
+        o11, o22, c1 = _u_blocks_arrays(t[-1], chunk)
         factor = _factor(orbit, weights, o22, c1)
         inv, sign = _checked_inverse(factor, chunk["f"], SingularFactor, what)
         if start == 0:
@@ -361,13 +359,12 @@ def _riccati_p_arrays(orbit, weights, f, ff):
             last_nonpos = (start + j, float(_kappa1(factor[j], inv[j])))
     if last_nonpos is not None:
         k, cond = last_nonpos
-        fs = np.append(nodes["f"], ff)
+        fs = t["f"]
         raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
                              f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
     s = np.diag(weights.s_block)
-    p = np.concatenate([inv_0[:, :6] @ (s[:6, None] * o11_0),
-                        inv_0[:, 6:] @ (s[6:, None] * o11_0)], axis=1)
-    return t, p
+    return np.concatenate([inv_0[:, :6] @ (s[:6, None] * o11_0),
+                           inv_0[:, 6:] @ (s[6:, None] * o11_0)], axis=1)
 
 
 def riccati_p(orbit, weights, f, ff):
@@ -378,4 +375,4 @@ def riccati_p(orbit, weights, f, ff):
     diag(Sa, -Sda) exactly."""
     if f > ff:
         raise ValueError(f"query anomaly f={f!r} lies beyond the horizon ff={ff!r}")
-    return _riccati_p_arrays(orbit, weights, float(f), float(ff))[1]
+    return _riccati_p_arrays(orbit, weights, _tables(orbit, [float(f), float(ff)]))

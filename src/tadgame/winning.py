@@ -141,20 +141,23 @@ def scan_quadratics(config):
     At one placement each quadratic is a squared propagated distance minus
     the squared radius, g1 = |x_a(f)|^2 - R1^2 and g2 = |x_da(f)|^2 - R2^2,
     so the scan reads them from the positions that game._flow gives for y0,
-    as in propagate_analytical, with P(f0) checked at f0 only.  Returns
+    as in propagate_analytical, from one table build on the grid, with the
+    factor checked at f0 (and at ff, where it is I) only.  Returns
     (f, g1_values, g2_values) arrays over (f0, ff] for the configured
     defender initial position; raises OverflowError where a value is not
     finite."""
     _require_hovering(config)
-    fs = config.grid[1:]
-    t0, p0 = _riccati_p_arrays(config.orbit, config.weights, config.f0, config.ff)
+    grid = config.grid
+    t = _tables(config.orbit, grid)
+    p0 = _riccati_p_arrays(config.orbit, config.weights, t[[0, -1]])
     with np.errstate(over="ignore", invalid="ignore"):
         y0 = np.concatenate([config.x_a0, config.x_da0])
-        y, _ = _flow(config, _tables(config.orbit, fs), t0, p0, y0)
+        y, _ = _flow(config, t[1:], t[0], p0, y0)
         v1 = np.sum(y[:, 0:3] ** 2, axis=1) - config.r1**2
         v2 = np.sum(y[:, 6:9] ** 2, axis=1) - config.r2**2
     _require_finite("the winning scan", v1, v2)
-    return fs, v1, v2
+    # the grid, not t["f"]: a view into t would keep the whole table alive
+    return grid[1:], v1, v2
 
 
 def attacker_wins(fs, v1, v2):

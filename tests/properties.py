@@ -2,10 +2,11 @@
 
 Everything here is written independently of the package internals: a fresh
 transcription of the plant matrix and coupling blocks, a plain RK4
-integrator, a bisection Kepler solver, and frozen high-precision reference
-values generated with symbolic math.  Tests compare package output against
-these so that a transcription slip in the package cannot hide behind the
-package's own code.
+integrator, a bisection Kepler solver, the eccentric-to-true anomaly
+conversion (which only the tests need), and frozen high-precision
+reference values generated with symbolic math.  Tests compare package
+output against these so that a transcription slip in the package cannot
+hide behind the package's own code.
 """
 
 import math
@@ -123,6 +124,17 @@ def kepler_bisect(e, f):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def eccentric_to_true(orbit, E):
+    """Inverse of orbital_core.true_to_eccentric on the same branch, which
+    keeps f - E inside (-pi, pi)."""
+    e = orbit.e
+    E = np.asarray(E, dtype=float)
+    den = 1.0 - e * np.cos(E)
+    wrapped = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(E) / den, (np.cos(E) - e) / den)
+    out = wrapped + E - np.arctan2(np.sin(E), np.cos(E))
+    return out if out.ndim else float(out)
 
 
 def max_rel(got, want):

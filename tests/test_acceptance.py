@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 from conftest import omega11, omega22, reference_config
-from properties import feedback_along, rel_scalar, riccati_rhs
+from properties import eccentric_to_true, feedback_along, rel_scalar, riccati_rhs
 from tadgame.game import propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
 from tadgame.orbital_core import (
     ReferenceOrbit,
-    eccentric_to_true,
     phi,
     phi_inv,
     rho,

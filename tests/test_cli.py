@@ -178,6 +178,15 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("riccati.SingularFactor:") and "conjugate point" in err
 
+    @pytest.mark.xfail(strict=True,
+                       reason="ROADMAP item 3: the scan checks F at f0 and ff only")
+    def test_wincheck_conjugate_point_between_nodes(self, tmp_path, capsys):
+        # the scenario of the test above: simulate exits 3, wincheck must too
+        path = scenario_file(tmp_path, r_a="5e7", r_d="1e10", s_dar="1000.0", s_dav="1000.0")
+        code, _, err = run(["wincheck", path], capsys)
+        assert code == 3
+        assert err.startswith("riccati.SingularFactor:")
+
     @pytest.mark.parametrize("value", ["nan", "inf", "100", "-1"])
     def test_ellipsoid_anomaly_outside_horizon(self, tmp_path, capsys, value):
         out_path = tmp_path / "ell.csv"

@@ -10,7 +10,7 @@ from scipy.integrate import solve_ivp
 
 from conftest import reference_config, reference_orbit, reference_weights
 from properties import coupled_system_matrix, feedback_along, feedback_controls, max_rel
-from tadgame import riccati
+from tadgame import game, riccati, winning
 from tadgame.game import Trajectory, _d_grid, propagate_analytical
 from tadgame.numerical_baseline import _a_rows, _w_rows
 from tadgame.orbital_core import rho
@@ -251,6 +251,21 @@ class TestPropagateAnalytical:
         ratio = (costs[0] - costs[1]) / (costs[1] - costs[2])
         assert 3.5 < ratio < 4.5
 
+    @pytest.mark.parametrize("module, run", [(game, propagate_analytical),
+                                             (winning, scan_quadratics)],
+                             ids=["propagate_analytical", "scan_quadratics"])
+    def test_one_table_build(self, monkeypatch, module, run):
+        calls = []
+
+        def counted(orbit, f):
+            calls.append(np.shape(f))
+            return riccati._tables(orbit, f)
+
+        monkeypatch.setattr(module, "_tables", counted)
+        cfg = reference_config(ff=np.pi / 4.0)
+        run(cfg)
+        assert calls == [cfg.grid.shape]
+
     @pytest.mark.parametrize("run", [propagate_analytical, scan_quadratics],
                              ids=["propagate_analytical", "scan_quadratics"])
     def test_peak_memory_per_node(self, run):
@@ -266,6 +281,32 @@ class TestPropagateAnalytical:
         finally:
             tracemalloc.stop()
         assert peak / 1024.0 / cfg.grid.size <= 1.5
+
+
+class TestLongHorizonTransversality:
+    # two draws of the ten-revolution benchmark stream (seeds 505 and 1002)
+    # whose terminal state x_a(ff) = D(ff) y0 loses ~5 digits to
+    # cancellation, so lambda(ff) = Sa x_a(ff) holds only to ~1.4e-6
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+    @pytest.mark.parametrize("e, x_a0, x_da0", [
+        (0.09677716797354423,
+         [11.199950544629372, 7.00826369000266, -1.4380811284379809,
+          0.46007987058223665, -0.400956583236161, -0.49749846346173365],
+         [11.197648361482003, 7.438399419676983, -3.8252614344336493,
+          -0.03741168625171032, 0.30709401501217104, 0.2951465369061965]),
+        (0.08266591052547151,
+         [13.338272139503477, -7.639764381719185, 8.13631225528072,
+          -0.14779553983019644, 0.22984826577288708, -0.4227756134008198],
+         [14.9346564221757, -12.51795921783797, 4.679413852707729,
+          -0.44462092902296335, -0.17923199288905034, 0.44301554586640823]),
+    ], ids=["seed505", "seed1002"])
+    def test_terminal_costate(self, e, x_a0, x_da0):
+        cfg = reference_config(orbit=replace(ORBIT, e=e), ff=62.83185307179587,
+                               h_f=0.006283185307179587, x_a0=np.array(x_a0),
+                               x_da0=np.array(x_da0))
+        traj = propagate_analytical(cfg)
+        want = WEIGHTS.sa @ traj.x_a[-1]
+        assert np.linalg.norm(traj.lam[-1] - want) / np.linalg.norm(want) <= 1e-6
 
 
 class TestConstantsFrameOracle:

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import omega11, omega22
-from properties import kepler_bisect, max_rel, plant_matrix, rk4_integrate
+from properties import eccentric_to_true, kepler_bisect, max_rel, plant_matrix, rk4_integrate
 from tadgame.orbital_core import (
+    _J,
+    _K,
     ReferenceOrbit,
-    eccentric_to_true,
     phi,
     phi_inv,
     rho,
@@ -147,6 +148,23 @@ class TestPhi:
             orb = orbit_with(rng.uniform(0.0, 0.8))
             f = rng.uniform(0.0, 2.0 * math.pi)
             assert max_rel(phi_inv(orb, f), np.linalg.inv(phi(orb, f))) < 1e-8
+
+    @pytest.mark.parametrize("e", [0.0, 0.3, 0.8])
+    def test_plant_preserves_symplectic_form(self, e):
+        # A^T J + J A = 0 holds exactly: J scales the plant's entries by
+        # +-1 and +-2 only, so every term is exact and they cancel in pairs
+        for f in (-7.0, -1.0, 0.0, 0.4, 2.5, math.pi, 13.0):
+            a = plant_matrix(e, f)
+            assert np.array_equal(a.T @ _J + _J @ a, np.zeros((6, 6)))
+
+    def test_symplectic_identity(self):
+        # phi^T J phi = K, the identity that phi_inv = -K phi^T J rests on
+        fs = np.linspace(-2.0 * math.pi, 20.0 * math.pi, 203)
+        for e in np.linspace(0.0, 0.8, 17):
+            p = phi(orbit_with(float(e)), fs)
+            scale = np.abs(p).max(axis=(-2, -1)) ** 2
+            residual = np.abs(np.swapaxes(p, -1, -2) @ _J @ p - _K).max(axis=(-2, -1))
+            assert np.all(residual <= 1e-14 * scale)
 
     def test_finite_at_circular_limit(self):
         fs = np.linspace(0.0, 4.0 * math.pi, 801)

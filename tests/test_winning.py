@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_config
+from tadgame import riccati, winning
 from tadgame.game import Trajectory, _d_grid, propagate_analytical
 from tadgame.winning import (
     Ellipsoid,
@@ -143,6 +144,19 @@ class TestScanAndWin:
         _, f_a = attacker_wins(*scan_quadratics(ref_config))
         traj, _ = analytical_run
         assert classify_outcome(traj, ref_sets).f_capture == f_a
+
+    def test_scan_anomalies_hold_no_table(self, monkeypatch, ref_config):
+        # a view into the table records would keep the whole table alive
+        built = []
+
+        def kept(orbit, f):
+            built.append(riccati._tables(orbit, f))
+            return built[-1]
+
+        monkeypatch.setattr(winning, "_tables", kept)
+        fs, _, _ = scan_quadratics(ref_config)
+        assert np.array_equal(fs, ref_config.grid[1:])
+        assert built and not any(np.shares_memory(fs, t) for t in built)
 
     def test_scalar_calls_match_scan(self, ref_config):
         fs, v1, v2 = scan_quadratics(ref_config)
