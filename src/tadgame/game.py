@@ -111,36 +111,28 @@ class Trajectory:
 
 
 def _flow(config, t, t0, p0, z0):
-    """Joint states and costates at the table records t (scalar or array)
-    of the motions that start from the columns of z0 (12 or 12 x k) at the
-    record t0 of f0, where P(f0) = p0.  Arrays of shape t.shape + z0.shape.
+    """Joint states, of shape t.shape + z0.shape, at the table records t
+    (scalar or array) of the motions that start from the columns of z0 (12
+    or 12 x k) at the record t0 of f0, where P(f0) = p0, and kappa (6 x 2k).
 
     In the constants frame only C_hat moves.  With the constants
     kappa_i = phi(f0)^T (P(f0) z0)_i, player i's state is
     phi(f) [phi^-1(f0) z0_i + (C_hat(f) - C_hat(f0)) sum_j M_ij kappa_j]
-    and its costate phi(f)^-T kappa_i = -J phi(f) K kappa_i (M from
-    _coupling; phi^-1 = -K phi^T J, see orbital_core).  Nodes at f0 return
-    z0 and P(f0) z0 exactly."""
-    lam0 = p0 @ z0
-
+    and its costate phi(f)^-T kappa_i = -J phi(f) K kappa_i, M from _coupling
+    and phi^-1 = -K phi^T J (orbital_core).  Nodes at f0 return z0 exactly."""
     # both players side by side in the columns: one 6x6 by 6x2k product per
     # node is faster, and rounds closer to a long-double evaluation, than
     # one 6x6 by 6xk product per player
     def cols(v):  # (12, ...) -> (6, 2k)
         return v.reshape(2, 6, -1).swapaxes(0, 1).reshape(6, -1)
 
-    def rows(v):  # (..., 6, 2k) -> (..., 12, ...), the inverse of cols
-        v = v.reshape(v.shape[:-1] + (2, -1)).swapaxes(-3, -2)
-        return v.reshape(v.shape[:-3] + z0.shape)
-
-    kappa = t0["phi"].T @ cols(lam0)
+    kappa = t0["phi"].T @ cols(p0 @ z0)
     drive = (_coupling(config.orbit, config.weights) @ kappa.reshape(6, 2, -1)).reshape(6, -1)
     consts = -_K @ t0["phi"].T @ _J @ cols(z0) + (t["chat"] - t0["chat"]) @ drive
-    y = rows(t["phi"] @ consts)
-    costates = rows(-_J @ (t["phi"] @ (_K @ kappa)))
-    at0 = t["f"] == t0["f"]
-    y[at0], costates[at0] = z0, lam0
-    return y, costates
+    y = (t["phi"] @ consts).reshape(t.shape + (6, 2, -1)).swapaxes(-3, -2)
+    y = y.reshape(t.shape + z0.shape)
+    y[t["f"] == t0["f"]] = z0
+    return y, kappa
 
 
 def _d_grid(config, f):
@@ -170,8 +162,9 @@ def propagate_analytical(config):
 
     One table evaluation on the grid gives everything: the factor is
     checked at every node and P(f0) taken from its inverse at the first,
-    then _flow gives the states and the costates from y0.  The
-    saddle-point controls come from the costates on the whole grid,
+    then _flow gives the states and kappa from y0, the costates being
+    -J phi(f) K kappa (P(f0) y0 at f0).  The saddle-point controls come
+    from the costates on the whole grid,
     u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v.
     Raises OverflowError where a result is not finite."""
     orbit, weights = config.orbit, config.weights
@@ -180,9 +173,11 @@ def propagate_analytical(config):
     p0 = _riccati_p_arrays(orbit, weights, t)
     with np.errstate(over="ignore", invalid="ignore"):
         y0 = np.concatenate([config.x_a0, config.x_da0])
-        y, costates = _flow(config, t, t[0], p0, y0)
+        y, kappa = _flow(config, t, t[0], p0, y0)
+        costates = -_J @ (t["phi"] @ (_K @ kappa))
+        costates[0] = (p0 @ y0).reshape(2, 6).T
         x_a, x_da = y[:, 0:6], y[:, 6:12]
-        lam, nu = costates[:, 0:6], costates[:, 6:12]
+        lam, nu = costates[..., 0], costates[..., 1]
         scale = orbit.beta / rho(orbit, grid) ** 3
         u_a = -(scale[:, None] / weights.r_a) * (lam - nu)[:, 3:6]
         u_d = (scale[:, None] / weights.r_d) * nu[:, 3:6]

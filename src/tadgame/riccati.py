@@ -8,8 +8,8 @@ symplectic form (orbital_core), so every transition block of the coupled
 state/costate system is a 6x6 product of table records and the constants J
 and K (U11 = I2 x Omega11, U12 = M x C1, U22 = I2 x Omega22; U21 vanishes
 because the costates evolve autonomously), and the Riccati solution P(f) is
-F^-1 S U11 with the factor F = U22 - S U12 inverted under one singularity
-policy.
+F^-1 S U11 with the factor F = U22 - S U12 checked at every table record under
+one singularity policy and inverted at f0 only.
 """
 
 import math
@@ -34,34 +34,22 @@ class SingularFactor(RuntimeError):
         self.cond = cond
 
 
-def _kappa1(mats, inv):
-    """Condition number ||A||_1 ||A^-1||_1 of a stack, from its inverse."""
-    return np.abs(mats).sum(axis=-2).max(axis=-1) * np.abs(inv).sum(axis=-2).max(axis=-1)
-
-
-def _checked_inverse(mats, f, error, what):
-    """Inverse and determinant sign, both from LU passes (slogdet, inv), of a
-    stack of square matrices built at the scalar or grid anomaly f.  Under
-    the one singularity policy, raise error(message, f=, cond=) at the first
-    anomaly where a matrix holds a non-finite value, is exactly singular or
-    has kappa_1 above _SINGULAR_COND.  Matrices with a non-finite
-    log-determinant are swapped for the identity first, as inv would
-    otherwise fail for the whole stack."""
-    with np.errstate(invalid="ignore"):
-        sign, logdet = np.linalg.slogdet(mats)
-    ok = np.isfinite(logdet) & np.all(np.isfinite(mats), axis=(-2, -1))
-    if not np.all(ok):
-        mats = np.where(ok[..., None, None], mats, np.eye(mats.shape[-1]))
-    inv = np.linalg.inv(mats)
-    kappa = np.where(ok, _kappa1(mats, inv), np.inf)
+def _require_conditioned(mats, f, error, what):
+    """Condition number kappa_1 = ||A||_1 ||A^-1||_1 of a stack of square
+    matrices built at the scalar or grid anomaly f.  Under the one
+    singularity policy, raise error(message, f=, cond=) at the first anomaly
+    where kappa_1 is not at most _SINGULAR_COND: np.linalg.cond gives inf
+    for an exactly singular matrix and nan, reported as inf, for one with
+    NaN entries."""
+    kappa = np.linalg.cond(mats, 1)
     bad = ~(kappa <= _SINGULAR_COND)
     if np.any(bad):
         idx = int(np.argmax(bad))
         f_bad = float(np.broadcast_to(np.asarray(f, dtype=float), np.shape(kappa)).ravel()[idx])
-        c_bad = float(np.ravel(kappa)[idx])
+        c_bad = float(np.nan_to_num(np.ravel(kappa)[idx], nan=np.inf, posinf=np.inf))
         raise error(f"{what} is numerically singular at f={f_bad:.9g} "
                     f"(condition number {c_bad:.3e})", f=f_bad, cond=c_bad)
-    return inv, sign
+    return kappa
 
 
 @dataclass(frozen=True)
@@ -284,29 +272,31 @@ def _tables(orbit, f):
     return t
 
 
+def _identity_at_equal(block, t2, t1):
+    """The transition block, exactly I where t2 and t1 share an anomaly."""
+    eq = np.asarray(t2["f"] == t1["f"])[..., None, None]
+    return np.where(eq, np.eye(6), block) if np.any(eq) else block
+
+
 def omega11(t2, t1):
     """State transition matrix phi(f2) phi^-1(f1) = -phi(f2) K phi(f1)^T J."""
-    return t2["phi"] @ (-_K @ np.swapaxes(t1["phi"], -1, -2) @ _J)
+    return _identity_at_equal(t2["phi"] @ (-_K @ np.swapaxes(t1["phi"], -1, -2) @ _J), t2, t1)
 
 
 def omega22(t2, t1):
     """Costate transition matrix phi^-1(f2)^T phi(f1)^T = -J phi(f2) K phi(f1)^T,
     that is omega11(t2, t1)^-T."""
-    return -(_J @ t2["phi"] @ _K) @ np.swapaxes(t1["phi"], -1, -2)
+    return _identity_at_equal(-(_J @ t2["phi"] @ _K) @ np.swapaxes(t1["phi"], -1, -2), t2, t1)
 
 
 def _u_blocks_arrays(t2, t1):
-    """Transition blocks (Omega11, Omega22, C1) from f1 to f2 of the coupled
+    """Transition blocks (Omega22, C1) from f1 to f2 of the coupled
     state/costate system, from the tables at f2 and f1 (broadcast), with the
     coupling integral C1 = phi(f2) (C_hat2 - C_hat1) phi(f1)^T.  Then
-    U11 = I2 x Omega11, U12 = M x C1 with M from _coupling, and
-    U22 = I2 x Omega22.  Equal anomalies give the exact identity."""
-    o11, o22 = omega11(t2, t1), omega22(t2, t1)
+    U11 = I2 x Omega11 (omega11), U12 = M x C1 with M from _coupling, and
+    U22 = I2 x Omega22; the factor is built from the last two."""
     c1 = t2["phi"] @ (t2["chat"] - t1["chat"]) @ np.swapaxes(t1["phi"], -1, -2)
-    eq = np.asarray(t2["f"] == t1["f"])[..., None, None]
-    if np.any(eq):
-        o11, o22 = np.where(eq, np.eye(6), o11), np.where(eq, np.eye(6), o22)
-    return o11, o22, c1
+    return omega22(t2, t1), c1
 
 
 def _coupling(orbit, weights):
@@ -330,8 +320,8 @@ def _factor(orbit, weights, o22, c1):
     return factor
 
 
-# grid nodes per pass of the factor check: every 12x12 and 6x6 stack it
-# builds lives for one chunk only (a 12x12 stack of 512 is 590 kB)
+# grid nodes per pass of the factor check: the factor stack and its 6x6
+# blocks live for one chunk only (a 12x12 stack of 512 is 590 kB)
 _CHUNK = 512
 
 
@@ -340,28 +330,30 @@ def _riccati_p_arrays(orbit, weights, t):
     (a 1-D array in grid order), for the horizon ending at the last.
 
     The factor F (see _factor) is checked at every record, one chunk at a
-    time: SingularFactor is raised where _checked_inverse raises, and where
-    det F <= 0.  F(ff) = I, so a nonpositive determinant at f proves a
-    conjugate point in (f, ff], and the largest such record f_k brackets
-    one in (f_k, f_k+1]."""
+    time: SingularFactor is raised where _require_conditioned raises, and
+    where slogdet gives det F <= 0.  F(ff) = I, so a nonpositive determinant
+    at f proves a conjugate point in (f, ff], and the largest such record
+    f_k brackets one in (f_k, f_k+1].  F^-1 and Omega11 are formed at f0."""
     what = "factor U22 - S U12"
     last_nonpos = None
     for start in range(0, t.size, _CHUNK):
         chunk = t[start:start + _CHUNK]
-        o11, o22, c1 = _u_blocks_arrays(t[-1], chunk)
-        factor = _factor(orbit, weights, o22, c1)
-        inv, sign = _checked_inverse(factor, chunk["f"], SingularFactor, what)
+        factor = _factor(orbit, weights, *_u_blocks_arrays(t[-1], chunk))
+        kappa = _require_conditioned(factor, chunk["f"], SingularFactor, what)
         if start == 0:
-            o11_0, inv_0 = o11[0], inv[0]
-        nonpos = np.flatnonzero(sign < 0)
+            factor_0 = factor[0].copy()
+        # every factor in the chunk is finite and nonsingular by now
+        nonpos = np.flatnonzero(np.linalg.slogdet(factor)[0] < 0)
         if nonpos.size:
             j = nonpos[-1]
-            last_nonpos = (start + j, float(_kappa1(factor[j], inv[j])))
+            last_nonpos = (start + j, float(kappa[j]))
     if last_nonpos is not None:
         k, cond = last_nonpos
         fs = t["f"]
         raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
                              f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
+    inv_0 = np.linalg.inv(factor_0)
+    o11_0 = omega11(t[-1], t[0])
     s = np.diag(weights.s_block)
     return np.concatenate([inv_0[:, :6] @ (s[:6, None] * o11_0),
                            inv_0[:, 6:] @ (s[6:, None] * o11_0)], axis=1)

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .game import _d_grid, _flow, _require_finite
-from .riccati import _checked_inverse, _riccati_p_arrays, _tables
+from .riccati import _require_conditioned, _riccati_p_arrays, _tables
 
 
 class SingularBlock(RuntimeError):
@@ -66,10 +66,13 @@ class Ellipsoid:
     """Quadratic membership set {r : q(r) <= 0} with Gram matrix g = m^T m,
     center offset (km) and radius (km)."""
 
-    g: np.ndarray
     center_offset: np.ndarray
     radius: float
     m: np.ndarray
+
+    @property
+    def g(self):
+        return self.m.T @ self.m
 
     def q(self, point):
         """Evaluate the defining quadratic |m (r - c)|^2 - radius^2 at a
@@ -128,10 +131,10 @@ def ellipsoid_at(config, f, which):
     own = d[rows, 6:9]
     cross = d[rows, 0:3]
     label = "capture" if which == "S1" else "interception"
-    own_inv, _ = _checked_inverse(own, f, SingularBlock, f"position block of the {label} condition")
+    _require_conditioned(own, f, SingularBlock, f"position block of the {label} condition")
     ra0 = config.x_a0[:3]
     radius = config.r1 if which == "S1" else config.r2
-    return Ellipsoid(g=own.T @ own, center_offset=ra0 - own_inv @ (cross @ ra0),
+    return Ellipsoid(center_offset=ra0 - np.linalg.inv(own) @ (cross @ ra0),
                      radius=float(radius), m=own)
 
 

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from tadgame import riccati
 from tadgame.game import GameConfig, propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
 from tadgame.orbital_core import ReferenceOrbit
@@ -45,7 +46,8 @@ def reference_config(**overrides):
 
 def kernel_blocks(orbit, f2, f1):
     """(Omega11, Omega22, C1) from f1 to f2, through the table kernel."""
-    return _u_blocks_arrays(_tables(orbit, f2), _tables(orbit, f1))
+    t2, t1 = _tables(orbit, f2), _tables(orbit, f1)
+    return (riccati.omega11(t2, t1), *_u_blocks_arrays(t2, t1))
 
 
 def dense_blocks(orbit, weights, f2, f1):

@@ -22,10 +22,9 @@ from tadgame.orbital_core import ReferenceOrbit, phi, phi_inv, rho, true_to_ecce
 from tadgame.riccati import (
     SingularFactor,
     WeightSet,
-    _checked_inverse,
     _coupling,
     _factor,
-    _kappa1,
+    _require_conditioned,
     _tables,
     _u_blocks_arrays,
     c_hat,
@@ -225,10 +224,8 @@ class TestSingularityPolicy:
         # matrices, so the two condition numbers differ by at most 12x
         cfg = reference_config()
         t = _tables(ORBIT, cfg.grid)
-        _, o22, cc = _u_blocks_arrays(t[-1], t)
-        factor = _factor(ORBIT, WEIGHTS, o22, cc)
-        inv, _ = _checked_inverse(factor, cfg.grid, SingularFactor, "factor")
-        kappa1 = _kappa1(factor, inv)
+        factor = _factor(ORBIT, WEIGHTS, *_u_blocks_arrays(t[-1], t))
+        kappa1 = _require_conditioned(factor, cfg.grid, SingularFactor, "factor")
         kappa2 = np.linalg.cond(factor)
         assert np.all(kappa1 >= kappa2 / 12.0) and np.all(kappa1 <= 12.0 * kappa2)
 
@@ -237,15 +234,28 @@ class TestSingularityPolicy:
         stack = np.stack([np.eye(3) * (k + 1.0) for k in range(4)])
         stack[2] = 0.0
         with pytest.raises(SingularBlock, match="numerically singular at f=") as info:
-            _checked_inverse(stack, fs, SingularBlock, "block")
+            _require_conditioned(stack, fs, SingularBlock, "block")
         assert info.value.f == 1.5
         assert info.value.cond == math.inf
 
-    def test_returns_inverse_and_sign(self):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_in_stack(self, bad):
+        # np.linalg.cond gives nan on a NaN entry; the policy reports inf
+        fs = np.array([0.5, 1.0, 1.5])
+        stack = np.stack([np.eye(3)] * 3)
+        stack[1, 0, 2] = bad
+        stack[2, 1, 1] = bad
+        with pytest.raises(SingularBlock, match="numerically singular at f=1 ") as info:
+            _require_conditioned(stack, fs, SingularBlock, "block")
+        assert info.value.f == 1.0
+        assert info.value.cond == math.inf
+
+    def test_returns_kappa1(self):
         stack = np.array([np.diag([2.0, 4.0, 1.0]), np.diag([-1.0, 1.0, 1.0])])
-        inv, sign = _checked_inverse(stack, np.array([0.0, 1.0]), SingularBlock, "block")
-        assert np.allclose(inv @ stack, np.eye(3), rtol=0.0, atol=1e-15)
-        assert np.array_equal(sign, [1.0, -1.0])
+        kappa = _require_conditioned(stack, np.array([0.0, 1.0]), SingularBlock, "block")
+        assert np.array_equal(kappa, [4.0, 1.0])
+        single = _require_conditioned(stack[0], 0.0, SingularBlock, "block")
+        assert single == 4.0
 
 
 class TestFeedbackGain:
@@ -325,6 +335,23 @@ class TestFeedbackGain:
         sol = solve_ivp(field, (cfg.ff, cfg.ff - cfg.h_f), w.s_block.ravel(),
                         method="Radau", rtol=1e-8, atol=1e-10)
         assert sol.status != 0 or np.abs(sol.y[:, -1]).max() > 1e6
+
+    def test_omega11_once_per_check(self, monkeypatch):
+        # P(f0) reads Omega11 at f0 alone, so the check forms it once
+        # however many chunks it runs through
+        t = _tables(ORBIT, reference_config().grid)
+        want = riccati._riccati_p_arrays(ORBIT, WEIGHTS, t)
+        calls = []
+        kernel = riccati.omega11
+
+        def counted(t2, t1):
+            calls.append(np.shape(t1))
+            return kernel(t2, t1)
+
+        monkeypatch.setattr(riccati, "omega11", counted)
+        monkeypatch.setattr(riccati, "_CHUNK", 10)
+        assert np.array_equal(riccati._riccati_p_arrays(ORBIT, WEIGHTS, t), want)
+        assert calls == [()]
 
     def test_solution_record(self):
         p = riccati_p(ORBIT, WEIGHTS, 0.5, 2.0 * math.pi)
