@@ -1,6 +1,6 @@
 """Pursuit game model: scenario, closed-form trajectory propagation in
 the constants frame with the saddle-point strategies taken from the
-costates, and the game cost.
+costates, and the game value 1/2 y0^T P(f0) y0 as the cost.
 
 The pursuer chases a passive target sitting at the origin of the rotating
 frame while the defender tries to intercept the pursuer.  Everything is
@@ -96,7 +96,9 @@ class Trajectory:
     """Grid-sampled game history.
 
     Arrays are stacked per grid node: states (N+1, 6), controls (N+1, 3),
-    costates (N+1, 6), distances (N+1,).  cost is the game cost J."""
+    costates (N+1, 6), distances (N+1,).  cost is the game cost J: the
+    game value 1/2 y0^T P(f0) y0 from the closed form, a trapezoid
+    quadrature from the RK4 oracle."""
 
     grid: np.ndarray
     x_a: np.ndarray
@@ -144,11 +146,11 @@ def _d_grid(config, f):
     return _flow(config, _tables(config.orbit, f), ends[0], p0, np.eye(12))[0]
 
 
-def _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d):
-    w = config.weights
-    running = w.r_a * np.sum(u_a * u_a, axis=-1) - w.r_d * np.sum(u_d * u_d, axis=-1)
-    terminal = x_a[-1] @ w.sa @ x_a[-1] - x_da[-1] @ w.sda @ x_da[-1]
-    return 0.5 * terminal + 0.5 * float(np.trapezoid(running, grid))
+def _cost_from_arrays(p0, y0):
+    """Game value J = 1/2 y0^T P(f0) y0 of the saddle-point trajectory
+    from the joint start y0: exact, so it needs no quadrature over the
+    grid.  The name is the one perfbench/spans.py traces (game.cost_ms)."""
+    return 0.5 * float(y0 @ p0 @ y0)
 
 
 def _require_finite(what, *arrays):
@@ -165,7 +167,8 @@ def propagate_analytical(config):
     then _flow gives the states and kappa from y0, the costates being
     -J phi(f) K kappa (P(f0) y0 at f0).  The saddle-point controls come
     from the costates on the whole grid,
-    u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v.
+    u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v,
+    and the cost is the game value 1/2 y0^T P(f0) y0.
     Raises OverflowError where a result is not finite."""
     orbit, weights = config.orbit, config.weights
     grid = config.grid
@@ -183,7 +186,7 @@ def propagate_analytical(config):
         u_d = (scale[:, None] / weights.r_d) * nu[:, 3:6]
         dist_at = np.linalg.norm(x_a[:, :3], axis=1)
         dist_da = np.linalg.norm(x_da[:, :3], axis=1)
-        j = _cost_from_arrays(config, grid, x_a, x_da, u_a, u_d)
+        j = _cost_from_arrays(p0, y0)
     _require_finite("the trajectory", y, costates, u_a, u_d, dist_at, dist_da, j)
     return Trajectory(
         grid=grid, x_a=x_a, x_da=x_da, u_a=u_a, u_d=u_d,

@@ -130,9 +130,3 @@ def phi(orbit, f):
     out[..., 5, 4] = -sf
     out[..., 5, 5] = cf
     return out
-
-
-def phi_inv(orbit, f):
-    """Inverse of phi(f) from the symplectic identity, not a numerical
-    inversion: phi^T J phi = K gives phi^-1 = -K phi^T J."""
-    return -_K @ np.swapaxes(phi(orbit, f), -1, -2) @ _J

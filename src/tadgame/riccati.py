@@ -24,14 +24,19 @@ from .orbital_core import _J, _K, phi, true_to_eccentric
 _SINGULAR_COND = 1e14
 
 
-class SingularFactor(RuntimeError):
-    """The 12x12 factor inverted by riccati_p is numerically singular, or
-    its determinant shows a conjugate point before the horizon ends."""
+class _Singular(RuntimeError):
+    """A matrix of the closed form failed the singularity policy: f is the
+    anomaly where it failed and cond its condition number kappa_1."""
 
     def __init__(self, message, f=None, cond=None):
         super().__init__(message)
         self.f = f
         self.cond = cond
+
+
+class SingularFactor(_Singular):
+    """The 12x12 factor inverted by riccati_p is numerically singular, or
+    its determinant shows a conjugate point before the horizon ends."""
 
 
 def _require_conditioned(mats, f, error, what):

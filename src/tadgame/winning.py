@@ -15,17 +15,12 @@ from typing import Optional
 import numpy as np
 
 from .game import _d_grid, _flow, _require_finite
-from .riccati import _require_conditioned, _riccati_p_arrays, _tables
+from .riccati import _Singular, _require_conditioned, _riccati_p_arrays, _tables
 
 
-class SingularBlock(RuntimeError):
+class SingularBlock(_Singular):
     """A position sub-block of D needed by the winning conditions is
     numerically singular."""
-
-    def __init__(self, message, f=None, cond=None):
-        super().__init__(message)
-        self.f = f
-        self.cond = cond
 
 
 class NotHovering(Exception):

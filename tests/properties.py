@@ -3,15 +3,17 @@
 Everything here is written independently of the package internals: a fresh
 transcription of the plant matrix and coupling blocks, a plain RK4
 integrator, a bisection Kepler solver, the eccentric-to-true anomaly
-conversion (which only the tests need), and frozen high-precision
-reference values generated with symbolic math.  Tests compare package
-output against these so that a transcription slip in the package cannot
-hide behind the package's own code.
+conversion and the inverse of phi (which only the tests need), and frozen
+high-precision reference values generated with symbolic math.  Tests
+compare package output against these so that a transcription slip in the
+package cannot hide behind the package's own code.
 """
 
 import math
 
 import numpy as np
+
+from tadgame.orbital_core import phi
 
 
 def plant_matrix(e, f):
@@ -135,6 +137,18 @@ def eccentric_to_true(orbit, E):
     wrapped = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(E) / den, (np.cos(E) - e) / den)
     out = wrapped + E - np.arctan2(np.sin(E), np.cos(E))
     return out if out.ndim else float(out)
+
+
+def phi_inv(orbit, f):
+    """Inverse of orbital_core.phi from the symplectic identity, not a
+    numerical inversion: the plant keeps the skew form J (A^T J + J A = 0
+    for plant_matrix), phi(0) makes phi^T J phi = K, so phi^-1 = -K phi^T J."""
+    j = np.zeros((6, 6))
+    j[0, 1] = -2.0
+    j[0, 3] = j[1, 4] = j[2, 5] = 1.0
+    j -= j.T
+    k = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+    return -k @ np.swapaxes(phi(orbit, f), -1, -2) @ j
 
 
 def max_rel(got, want):

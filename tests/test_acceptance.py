@@ -16,13 +16,12 @@ import numpy as np
 import pytest
 
 from conftest import omega11, omega22, reference_config
-from properties import eccentric_to_true, feedback_along, rel_scalar, riccati_rhs
+from properties import eccentric_to_true, feedback_along, phi_inv, rel_scalar, riccati_rhs
 from tadgame.game import propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
 from tadgame.orbital_core import (
     ReferenceOrbit,
     phi,
-    phi_inv,
     rho,
     true_to_eccentric,
 )

@@ -234,7 +234,7 @@ class TestPropagateAnalytical:
     @pytest.mark.parametrize("chunk", [riccati._CHUNK, 10])
     def test_pointwise_grid_independence(self, monkeypatch, analytical_run, chunk):
         # the closed-form states are pointwise; refining the grid must not
-        # move shared nodes, and the cost quadrature converges at second order.
+        # move shared nodes, and the cost, the game value, does not move.
         # Nor may the chunk size move any bit: at 10, the reference grid and
         # the two finer grids here end in a one-node chunk at ff
         base = reference_config(ff=np.pi / 4.0)
@@ -248,8 +248,7 @@ class TestPropagateAnalytical:
         costs = [t.cost for t in wants]
         terminals = [np.concatenate([t.x_a[-1], t.x_da[-1]]) for t in wants]
         assert np.linalg.norm(terminals[0] - terminals[1]) <= 1e-9 * np.linalg.norm(terminals[1])
-        ratio = (costs[0] - costs[1]) / (costs[1] - costs[2])
-        assert 3.5 < ratio < 4.5
+        assert costs[0] == costs[1] == costs[2]
 
     @pytest.mark.parametrize("module, run", [(game, propagate_analytical),
                                              (winning, scan_quadratics)],
@@ -344,11 +343,23 @@ class TestConstantsFrameOracle:
 
 
 class TestCost:
-    def test_trapezoid_quadrature(self, analytical_run):
+    def test_game_value(self, analytical_run):
         traj, _ = analytical_run
-        running = (WEIGHTS.r_a * np.sum(traj.u_a**2, axis=1)
-                   - WEIGHTS.r_d * np.sum(traj.u_d**2, axis=1))
-        terminal = (traj.x_a[-1] @ WEIGHTS.sa @ traj.x_a[-1]
-                    - traj.x_da[-1] @ WEIGHTS.sda @ traj.x_da[-1])
-        want = 0.5 * terminal + 0.5 * np.trapezoid(running, traj.grid)
-        assert traj.cost == pytest.approx(want, rel=1e-12)
+        cfg = reference_config()
+        y0 = np.concatenate([cfg.x_a0, cfg.x_da0])
+        assert traj.cost == 0.5 * (y0 @ riccati_p(ORBIT, WEIGHTS, cfg.f0, cfg.ff) @ y0)
+
+    def test_trapezoid_quadrature(self):
+        # the running cost integrated along the trajectory plus the terminal
+        # term approaches the game value at second order in the grid step
+        base = reference_config(ff=np.pi / 4.0)
+        gaps = []
+        for div in (1, 2, 4):
+            traj = propagate_analytical(reference_config(ff=np.pi / 4.0, h_f=base.h_f / div))
+            running = (WEIGHTS.r_a * np.sum(traj.u_a**2, axis=1)
+                       - WEIGHTS.r_d * np.sum(traj.u_d**2, axis=1))
+            terminal = (traj.x_a[-1] @ WEIGHTS.sa @ traj.x_a[-1]
+                        - traj.x_da[-1] @ WEIGHTS.sda @ traj.x_da[-1])
+            gaps.append(0.5 * terminal + 0.5 * np.trapezoid(running, traj.grid) - traj.cost)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert 3.5 < coarse / fine < 4.5

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from conftest import omega11, omega22
-from properties import eccentric_to_true, kepler_bisect, max_rel, plant_matrix, rk4_integrate
+from properties import (
+    eccentric_to_true, kepler_bisect, max_rel, phi_inv, plant_matrix, rk4_integrate)
 from tadgame.orbital_core import (
     _J,
     _K,
     ReferenceOrbit,
     phi,
-    phi_inv,
     rho,
     secular_l,
     true_to_eccentric,

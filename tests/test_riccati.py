@@ -13,12 +13,13 @@ from properties import (
     FROZEN_C,
     coupled_system_matrix,
     max_rel,
+    phi_inv,
     rk4_integrate,
     riccati_rhs,
 )
 from tadgame import riccati
 from tadgame.game import propagate_analytical
-from tadgame.orbital_core import ReferenceOrbit, phi, phi_inv, rho, true_to_eccentric
+from tadgame.orbital_core import ReferenceOrbit, phi, rho, true_to_eccentric
 from tadgame.riccati import (
     SingularFactor,
     WeightSet,
@@ -358,3 +359,48 @@ class TestFeedbackGain:
         assert isinstance(p, np.ndarray)
         assert p.shape == (12, 12) and p.dtype == float
         assert np.all(np.isfinite(p))
+
+
+def backward_riccati(orb, w, ff, f_end):
+    """The Riccati equation integrated by DOP853 from P(ff) = S back to f_end."""
+    field = lambda f, y: riccati_rhs(orb.e, f, orb.beta, w.r_a, w.r_d, y.reshape(12, 12)).ravel()
+    return solve_ivp(field, (ff, f_end), w.s_block.ravel(), method="DOP853",
+                     rtol=1e-10, atol=1e-12)
+
+
+class TestOpenFactorDefects:
+    # two scenarios where the float64 factor check on the grid gives the
+    # wrong verdict; each strict xfail turns into a failure once fixed
+    D1 = WeightSet(r_a=2.285e7, r_d=7.617e8, s_ar=68.03, s_av=0.0401,
+                   s_dar=0.0960, s_dav=590.7)
+    D2 = WeightSet(r_a=7.383e8, r_d=4.550e6, s_ar=19.78, s_av=2.184,
+                   s_dar=0.9168, s_dav=2645.0)
+
+    # D1, e = 0, one revolution: det F <= 0 for ff - f from 1e-8 to 2e-3,
+    # inside the last grid interval, and > 0 at every node
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 8")
+    def test_conjugate_point_inside_last_interval_raises(self):
+        cfg = reference_config(orbit=orbit_with(0.0), weights=self.D1)
+        with pytest.raises(SingularFactor):
+            propagate_analytical(cfg)
+
+    def test_conjugate_point_inside_last_interval_witnesses(self):
+        ff = 2.0 * math.pi
+        with pytest.raises(SingularFactor, match="det <= 0"):
+            riccati_p(orbit_with(0.0), self.D1, ff - 1e-4, ff)
+        sol = backward_riccati(orbit_with(0.0), self.D1, ff, ff - 1e-6)
+        assert sol.status == -1 and sol.t[-1] > ff - 1e-6
+
+    # D2, e = 0.8, two revolutions: cancellation in C_hat(ff) - C_hat(f)
+    # flips the float64 det F near f = 12.5, so 39 of these 41 grids raise
+    @pytest.mark.xfail(strict=True, raises=SingularFactor, reason="ROADMAP item 5")
+    def test_no_spurious_conjugate_point(self):
+        ff = 4.0 * math.pi
+        for steps in range(990, 1031):
+            propagate_analytical(reference_config(orbit=orbit_with(0.8), weights=self.D2,
+                                                  ff=ff, h_f=ff / steps))
+
+    def test_no_spurious_conjugate_point_witness(self):
+        sol = backward_riccati(orbit_with(0.8), self.D2, 4.0 * math.pi, 12.4)
+        assert sol.status == 0 and sol.t[-1] == 12.4
+        assert np.abs(sol.y).max() <= np.abs(self.D2.s_block).max()
