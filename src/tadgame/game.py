@@ -163,7 +163,7 @@ def propagate_analytical(config):
     """Propagate the equilibrium game over the whole grid in closed form.
 
     One table evaluation on the grid gives everything: the factor is
-    checked at every node and P(f0) taken from its inverse at the first,
+    checked at every node and P(f0) solved from it at the first,
     then _flow gives the states and kappa from y0, the costates being
     -J phi(f) K kappa (P(f0) y0 at f0).  The saddle-point controls come
     from the costates on the whole grid,

@@ -9,7 +9,7 @@ state/costate system is a 6x6 product of table records and the constants J
 and K (U11 = I2 x Omega11, U12 = M x C1, U22 = I2 x Omega22; U21 vanishes
 because the costates evolve autonomously), and the Riccati solution P(f) is
 F^-1 S U11 with the factor F = U22 - S U12 checked at every table record under
-one singularity policy and inverted at f0 only.
+one singularity policy and solved at f0 only.
 """
 
 import math
@@ -19,7 +19,7 @@ import numpy as np
 
 from .orbital_core import _J, _K, phi, true_to_eccentric
 
-# condition number kappa_1 past which a matrix inverted by the closed form
+# condition number kappa_1 past which a matrix the closed form solves with
 # counts as singular, in riccati and in winning alike
 _SINGULAR_COND = 1e14
 
@@ -35,7 +35,7 @@ class _Singular(RuntimeError):
 
 
 class SingularFactor(_Singular):
-    """The 12x12 factor inverted by riccati_p is numerically singular, or
+    """The 12x12 factor that riccati_p solves with is numerically singular, or
     its determinant shows a conjugate point before the horizon ends."""
 
 
@@ -338,7 +338,7 @@ def _riccati_p_arrays(orbit, weights, t):
     time: SingularFactor is raised where _require_conditioned raises, and
     where slogdet gives det F <= 0.  F(ff) = I, so a nonpositive determinant
     at f proves a conjugate point in (f, ff], and the largest such record
-    f_k brackets one in (f_k, f_k+1].  F^-1 and Omega11 are formed at f0."""
+    f_k brackets one in (f_k, f_k+1].  P is solved from F P = S U11 at f0."""
     what = "factor U22 - S U12"
     last_nonpos = None
     for start in range(0, t.size, _CHUNK):
@@ -357,11 +357,8 @@ def _riccati_p_arrays(orbit, weights, t):
         fs = t["f"]
         raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
                              f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
-    inv_0 = np.linalg.inv(factor_0)
-    o11_0 = omega11(t[-1], t[0])
     s = np.diag(weights.s_block)
-    return np.concatenate([inv_0[:, :6] @ (s[:6, None] * o11_0),
-                           inv_0[:, 6:] @ (s[6:, None] * o11_0)], axis=1)
+    return np.linalg.solve(factor_0, s[:, None] * np.kron(np.eye(2), omega11(t[-1], t[0])))
 
 
 def riccati_p(orbit, weights, f, ff):

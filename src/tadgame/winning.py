@@ -113,8 +113,8 @@ def ellipsoid_at(config, f, which):
 
     S1 is built from (D11rr, D12rr), S2 from (D21rr, D22rr), with D built at
     f.  The Gram matrix is own^T own and the center offset is
-    r_tilde = Ra0 - own^-1 cross Ra0, own being the block that the defender
-    initial position enters through (D12rr or D22rr)."""
+    r_tilde = Ra0 - x, x solved from own x = cross Ra0, own being the block
+    that the defender initial position enters through (D12rr or D22rr)."""
     if which not in ("S1", "S2"):
         raise ValueError(f'which must be "S1" or "S2", got {which!r}')
     _require_hovering(config)
@@ -129,7 +129,7 @@ def ellipsoid_at(config, f, which):
     _require_conditioned(own, f, SingularBlock, f"position block of the {label} condition")
     ra0 = config.x_a0[:3]
     radius = config.r1 if which == "S1" else config.r2
-    return Ellipsoid(center_offset=ra0 - np.linalg.inv(own) @ (cross @ ra0),
+    return Ellipsoid(center_offset=ra0 - np.linalg.solve(own, cross @ ra0),
                      radius=float(radius), m=own)
 
 

@@ -278,6 +278,20 @@ class TestFeedbackGain:
         p_ana = riccati_p(ORBIT, WEIGHTS, 0.0, ff)
         assert max_rel(p_ana, p_num) < 1e-5
 
+    @pytest.mark.parametrize("e", [0.5, 0.8])
+    def test_factor_solve_residual(self, e):
+        # P(f0) solves F(f0) P = S (I2 x Omega11) with the residual of a
+        # backward-stable solve; F^-1 times the right-hand side leaves one
+        # 2-5 eps ||F|| ||P|| at these eccentricities
+        orb, ff = orbit_with(e), 2.0 * math.pi
+        t = _tables(orb, [0.0, ff])
+        factor = _factor(orb, WEIGHTS, *_u_blocks_arrays(t[1], t[0]))
+        rhs = WEIGHTS.s_block @ np.kron(np.eye(2), riccati.omega11(t[1], t[0]))
+        p = riccati_p(orb, WEIGHTS, 0.0, ff)
+        norm1 = lambda a: np.linalg.norm(a, 1)
+        eps = np.finfo(float).eps
+        assert norm1(factor @ p - rhs) <= 0.5 * eps * norm1(factor) * norm1(p)
+
     def test_ode_residual(self):
         rng = np.random.default_rng(71)
         ff = 2.0 * math.pi
