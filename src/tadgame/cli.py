@@ -1,16 +1,17 @@
 """Command line front end.
 
-Subcommands: simulate | compare | wincheck | sweep-e | ellipsoids | bench.
+Subcommands: simulate | compare | wincheck | sweep-e | ellipsoids;
+`compare --reps N` also times each method over N runs.
 Scenario files are plain `key = value` text in a fixed key vocabulary;
 outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
 Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
-number or value of --rd0, --e-list or --f-list, finite scenario numbers
-so large that a closed-form result overflows or that the numerical
-route's initial state already exceeds its blow-up limit, an ellipsoids
-anomaly outside [f0, ff] and an output path that cannot be written, which
-is checked before any work, included), 3 singular or blown-up
+number or value of --rd0, --e-list or --f-list, a --reps below 3, finite
+scenario numbers so large that a closed-form result overflows or that the
+numerical route's initial state already exceeds its blow-up limit, an
+ellipsoids anomaly outside [f0, ff] and an output path that cannot be
+written, which is checked before any work, included), 3 singular or blown-up
 computation, 4 violated winning-condition precondition (hovering states,
 admissible --rd0) in wincheck, sweep-e and ellipsoids.
 """
@@ -21,7 +22,6 @@ import importlib.resources
 import json
 import math
 import os
-import statistics
 import sys
 import time
 from dataclasses import replace
@@ -208,16 +208,24 @@ def _rel_err(a, b):
 
 
 def cmd_compare(args):
+    if args.reps is not None and args.reps < 3:
+        raise ScenarioError(f"--reps must be at least 3, got {args.reps}")
     config = _load(args.scenario)
-    ana, t_ana = _run_analytical(config)
-    num, t_num = _run_numerical(config)
-    payload = {
-        "analytical": _summarize("analytical", ana, t_ana, config),
-        "numerical": _summarize("numerical", num, t_num, config),
-    }
+    payload, times = {}, {}
+    for method, runner in _RUNNERS.items():  # analytical first
+        payload[method] = _summarize(method, *runner(config), config)
+        times[method] = [payload[method]["wall_seconds"]]
+        times[method] += [runner(config)[1] for _ in range((args.reps or 1) - 1)]
     for key in ("dist_at", "dist_da", "J"):
         payload[f"rel_err_{key}"] = _rel_err(payload["analytical"][key], payload["numerical"][key])
-    payload["time_ratio"] = t_num / t_ana
+    payload["time_ratio"] = times["numerical"][0] / times["analytical"][0]
+    if args.reps is not None:
+        timing = {method: {"median_s": float(np.median(values)), "min_s": min(values),
+                           "reps": args.reps} for method, values in times.items()}
+        ana, num = timing["analytical"], timing["numerical"]
+        timing["speedup_median"] = num["median_s"] / ana["median_s"]
+        timing["speedup_min"] = num["min_s"] / ana["min_s"]
+        payload["timing"] = timing
     _emit_json(payload, args.out)
     return 0
 
@@ -277,29 +285,6 @@ def cmd_ellipsoids(args):
     return 0
 
 
-def cmd_bench(args):
-    if args.reps < 3:
-        print("bench: --reps must be at least 3", file=sys.stderr)
-        return 2
-    config = _load(args.scenario)
-    times = {"analytical": [], "numerical": []}
-    for method in ("analytical", "numerical"):
-        for _ in range(args.reps):
-            _, seconds = _RUNNERS[method](config)
-            times[method].append(seconds)
-    payload = {}
-    for method, values in times.items():
-        payload[method] = {
-            "median_s": statistics.median(values),
-            "min_s": min(values),
-            "reps": args.reps,
-        }
-    payload["speedup_median"] = payload["numerical"]["median_s"] / payload["analytical"]["median_s"]
-    payload["speedup_min"] = payload["numerical"]["min_s"] / payload["analytical"]["min_s"]
-    _emit_json(payload, args.out)
-    return 0
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="tadgame",
@@ -325,9 +310,12 @@ def build_parser():
     sim.add_argument("--out-summary", help="summary JSON path")
     sim.set_defaults(func=cmd_simulate)
 
-    comp = sub.add_parser("compare", help="run both methods, report relative errors")
+    comp = sub.add_parser("compare", help="run both methods, report relative errors; "
+                                          "with --reps, also time them (I/O excluded)")
     comp.add_argument("scenario")
     comp.add_argument("--out", help="comparison JSON path")
+    comp.add_argument("--reps", type=int,
+                      help="runs per method, at least 3: adds median and minimum times")
     comp.set_defaults(func=cmd_compare)
 
     win = sub.add_parser("wincheck", help="evaluate the winning quadratics g1/g2")
@@ -348,11 +336,6 @@ def build_parser():
     ell.add_argument("--out", required=True, help="ellipsoid CSV path")
     ell.set_defaults(func=cmd_ellipsoids)
 
-    ben = sub.add_parser("bench", help="time both methods (I/O excluded)")
-    ben.add_argument("scenario")
-    ben.add_argument("--reps", type=int, default=5, help="repetitions, at least 3")
-    ben.add_argument("--out", help="benchmark JSON path")
-    ben.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -1,10 +1,13 @@
 """Scenario parsing, CSV/JSON outputs, exit codes, and the subcommands."""
 
+import argparse
 import csv
 import json
 import math
+import re
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from tadgame.cli import (
     ScenarioError,
     _rel_err,
     _resolve_scenario,
+    build_parser,
     main,
     parse_scenario,
     write_trajectory_csv,
@@ -25,6 +29,7 @@ from tadgame.riccati import riccati_p
 from tadgame.winning import ellipsoid_at
 
 H_F = 0.006283185307179587
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 DEFAULTS = {
     "mu": "398603.0",
@@ -179,14 +184,28 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("riccati.SingularFactor:") and "conjugate point" in err
 
-    @pytest.mark.xfail(strict=True,
-                       reason="ROADMAP item 3: the scan checks F at f0 and ff only")
-    def test_wincheck_conjugate_point_between_nodes(self, tmp_path, capsys):
-        # the scenario of the test above: simulate exits 3, wincheck must too
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 3: the scans check F at f0 and ff only")
+    @pytest.mark.parametrize("argv", [
+        ["wincheck", "SCENARIO"],
+        ["ellipsoids", "SCENARIO", "--f-list", "1.0,6.2", "--out", "OUT"],
+        ["sweep-e", "SCENARIO", "--e-list", "0.1", "--out", "OUT"],
+    ], ids=["wincheck", "ellipsoids", "sweep-e"])
+    def test_scan_conjugate_point_between_nodes(self, tmp_path, capsys, argv):
+        # the scenario of the test above: simulate exits 3, the scans must
+        # too, and sweep-e must record the failure in the row's error cell
         path = scenario_file(tmp_path, r_a="5e7", r_d="1e10", s_dar="1000.0", s_dav="1000.0")
-        code, _, err = run(["wincheck", path], capsys)
-        assert code == 3
-        assert err.startswith("riccati.SingularFactor:")
+        out_path = tmp_path / "out.csv"
+        argv = [{"SCENARIO": path, "OUT": str(out_path)}.get(a, a) for a in argv]
+        code, _, err = run(argv, capsys)
+        if argv[0] == "sweep-e":
+            assert code == 0
+            with open(out_path, newline="", encoding="utf-8") as fh:
+                (row,) = csv.DictReader(fh)
+            assert row["error"].startswith("SingularFactor:")
+        else:
+            assert code == 3
+            assert err.startswith("riccati.SingularFactor:")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "100", "-1"])
     def test_ellipsoid_anomaly_outside_horizon(self, tmp_path, capsys, value):
@@ -204,8 +223,8 @@ class TestExitCodes:
         ["sweep-e", "reference", "--e-list", "0.1", "--out"],
         ["simulate", "SHORT", "--out-summary"],
         ["compare", "SHORT", "--out"],
-        ["bench", "SHORT", "--reps", "3", "--out"],
-    ], ids=["simulate", "wincheck", "sweep-e", "simulate-summary", "compare", "bench"])
+        ["compare", "SHORT", "--reps", "3", "--out"],
+    ], ids=["simulate", "wincheck", "sweep-e", "simulate-summary", "compare", "compare-reps"])
     def test_unwritable_output_path(self, tmp_path, capsys, argv):
         # the path is checked before the run: nothing reaches stdout
         short = scenario_file(tmp_path, ff=repr(math.pi / 10.0))
@@ -301,10 +320,11 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
 
-    def test_bench_too_few_reps(self, tmp_path, capsys):
+    def test_compare_too_few_reps(self, tmp_path, capsys):
         path = scenario_file(tmp_path)
-        code, _, err = run(["bench", path, "--reps", "1"], capsys)
-        assert code == 2
+        code, out, err = run(["compare", path, "--reps", "2"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
         assert "at least 3" in err
 
     def test_help(self, capsys):
@@ -316,6 +336,12 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as info:
             main([])
         assert info.value.code == 2
+
+    def test_bench_subcommand_removed(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "reference"])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -418,6 +444,27 @@ class TestCompare:
         # the RK4 oracle's trapezoid J converges at second order only from a
         # step of h_f/8 on, so from h_f to h_f/4 ask for a 16x drop alone
         assert errs[2][2] < errs[0][2] / 16.0
+
+    def test_reps_adds_timing(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, ff=repr(math.pi / 10.0))
+        out_path = tmp_path / "compare.json"
+        code, out, _ = run(["compare", path, "--reps", "3", "--out", str(out_path)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert set(payload) == {
+            "analytical", "numerical", "rel_err_dist_at",
+            "rel_err_dist_da", "rel_err_J", "time_ratio", "timing",
+        }
+        timing = payload["timing"]
+        assert set(timing) == {"analytical", "numerical", "speedup_median", "speedup_min"}
+        for method in ("analytical", "numerical"):
+            assert timing[method]["reps"] == 3
+            assert timing[method]["min_s"] > 0.0
+            assert timing[method]["min_s"] <= timing[method]["median_s"]
+            # the summary comes from the first of the three runs
+            assert timing[method]["min_s"] <= payload[method]["wall_seconds"]
+        assert timing["speedup_median"] > 1.0
+        assert json.loads(out_path.read_text()) == payload
 
 
 class TestSweepE:
@@ -544,17 +591,14 @@ class TestEllipsoids:
         assert rows[1]["set"] == "S2" and rows[1]["error"] == ""
 
 
-class TestBench:
-    def test_three_reps(self, tmp_path, capsys):
-        path = scenario_file(tmp_path, ff=repr(math.pi / 10.0))
-        out_path = tmp_path / "bench.json"
-        code, out, _ = run(["bench", path, "--reps", "3", "--out", str(out_path)], capsys)
-        assert code == 0
-        payload = json.loads(out)
-        assert set(payload) == {"analytical", "numerical", "speedup_median", "speedup_min"}
-        for method in ("analytical", "numerical"):
-            assert payload[method]["reps"] == 3
-            assert payload[method]["min_s"] > 0.0
-            assert payload[method]["min_s"] <= payload[method]["median_s"]
-        assert payload["speedup_median"] > 1.0
-        assert json.loads(out_path.read_text()) == payload
+def test_readme_names_every_subcommand():
+    # the README's command block and its one bullet per subcommand must
+    # follow a subcommand that the parser gains or loses
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    in_block = {line.split()[1] for line in block.splitlines() if line.startswith("tadgame ")}
+    bullets = set(re.findall(r"^- `([a-z-]+)`", section, flags=re.M))
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    assert in_block == bullets == set(subparsers.choices)
