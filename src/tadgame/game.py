@@ -137,13 +137,39 @@ def _flow(config, t, t0, p0, z0):
     return y, kappa
 
 
+# the last P(f0) that passed the factor check, as one (key, P) tuple: a
+# reader takes both from one read, so it never pairs one scenario's key
+# with another's P
+_p0_record = None
+
+
+def _checked_p0(config, t):
+    """P(f0) of the scenario, 12x12 and read-only, from the factor check on
+    t, its whole grid table: the one place that decides where the factor is
+    checked (at every node, see _riccati_p_arrays).
+
+    P(f0) depends on the orbit, the weights and the grid, not on the start,
+    so the last one that passed is kept and a new start in the same
+    scenario reads it without a check.  The record holds P alone, no table
+    and no view of one; a SingularFactor leaves it as it was."""
+    global _p0_record
+    key = (config.orbit, config.weights, config.f0, config.ff, config.n_steps)
+    record = _p0_record
+    if record is not None and record[0] == key:
+        return record[1]
+    p0 = _riccati_p_arrays(config.orbit, config.weights, t)
+    p0.flags.writeable = False
+    _p0_record = (key, p0)
+    return p0
+
+
 def _d_grid(config, f):
     """Propagation matrix D(f) = U11(f, f0) + U12(f, f0) P(f0), mapping the
     initial joint state to the joint state at a scalar or array anomaly f:
     the flow of the columns of the identity."""
-    ends = _tables(config.orbit, [config.f0, config.ff])
-    p0 = _riccati_p_arrays(config.orbit, config.weights, ends)
-    return _flow(config, _tables(config.orbit, f), ends[0], p0, np.eye(12))[0]
+    t = _tables(config.orbit, config.grid)
+    p0 = _checked_p0(config, t)
+    return _flow(config, _tables(config.orbit, f), t[0], p0, np.eye(12))[0]
 
 
 def _cost_from_arrays(p0, y0):
@@ -162,10 +188,9 @@ def _require_finite(what, *arrays):
 def propagate_analytical(config):
     """Propagate the equilibrium game over the whole grid in closed form.
 
-    One table evaluation on the grid gives everything: the factor is
-    checked at every node and P(f0) solved from it at the first,
-    then _flow gives the states and kappa from y0, the costates being
-    -J phi(f) K kappa (P(f0) y0 at f0).  The saddle-point controls come
+    One table evaluation on the grid gives everything: P(f0) from
+    _checked_p0, then _flow gives the states and kappa from y0, the
+    costates being -J phi(f) K kappa (P(f0) y0 at f0).  The saddle-point controls come
     from the costates on the whole grid,
     u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v,
     and the cost is the game value 1/2 y0^T P(f0) y0.
@@ -173,7 +198,7 @@ def propagate_analytical(config):
     orbit, weights = config.orbit, config.weights
     grid = config.grid
     t = _tables(orbit, grid)
-    p0 = _riccati_p_arrays(orbit, weights, t)
+    p0 = _checked_p0(config, t)
     with np.errstate(over="ignore", invalid="ignore"):
         y0 = np.concatenate([config.x_a0, config.x_da0])
         y, kappa = _flow(config, t, t[0], p0, y0)

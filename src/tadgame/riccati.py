@@ -35,7 +35,7 @@ class _Singular(RuntimeError):
 
 
 class SingularFactor(_Singular):
-    """The 12x12 factor that riccati_p solves with is numerically singular, or
+    """The 12x12 factor that P is solved with is numerically singular, or
     its determinant shows a conjugate point before the horizon ends."""
 
 
@@ -326,8 +326,10 @@ def _factor(orbit, weights, o22, c1):
 
 
 # grid nodes per pass of the factor check: the factor stack and its 6x6
-# blocks live for one chunk only (a 12x12 stack of 512 is 590 kB)
-_CHUNK = 512
+# blocks live for one chunk only (a 12x12 stack of 128 is 147 kB), so a
+# checked run peaks at ~1.05 kB per node at every grid size, 1001 nodes
+# included (1.51 at 256, 2.36 at 512)
+_CHUNK = 128
 
 
 def _riccati_p_arrays(orbit, weights, t):
@@ -365,8 +367,10 @@ def riccati_p(orbit, weights, f, ff):
     """Closed-form Riccati solution P(f), a 12x12 array, for the horizon
     ending at ff.
 
-    At f = ff the blocks collapse to identity/zero and P equals
-    diag(Sa, -Sda) exactly."""
+    The factor is checked at f and ff only, so a conjugate point between
+    them goes unseen; a scenario's P(f0), checked on its whole grid, comes
+    from game._checked_p0.  At f = ff the blocks collapse to
+    identity/zero and P equals diag(Sa, -Sda) exactly."""
     if f > ff:
         raise ValueError(f"query anomaly f={f!r} lies beyond the horizon ff={ff!r}")
     return _riccati_p_arrays(orbit, weights, _tables(orbit, [float(f), float(ff)]))

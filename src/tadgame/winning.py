@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .game import _d_grid, _flow, _require_finite
-from .riccati import _Singular, _require_conditioned, _riccati_p_arrays, _tables
+from .game import _checked_p0, _d_grid, _flow, _require_finite
+from .riccati import _Singular, _require_conditioned, _tables
 
 
 class SingularBlock(_Singular):
@@ -139,15 +139,17 @@ def scan_quadratics(config):
     At one placement each quadratic is a squared propagated distance minus
     the squared radius, g1 = |x_a(f)|^2 - R1^2 and g2 = |x_da(f)|^2 - R2^2,
     so the scan reads them from the positions that game._flow gives for y0,
-    as in propagate_analytical, from one table build on the grid, with the
-    factor checked at f0 (and at ff, where it is I) only.  Returns
+    as in propagate_analytical, from one table build on the grid and the
+    P(f0) of game._checked_p0: the factor is checked at every node, once
+    per scenario, so a second placement reuses the check.  Returns
     (f, g1_values, g2_values) arrays over (f0, ff] for the configured
-    defender initial position; raises OverflowError where a value is not
+    defender initial position; raises SingularFactor as
+    propagate_analytical does, and OverflowError where a value is not
     finite."""
     _require_hovering(config)
     grid = config.grid
     t = _tables(config.orbit, grid)
-    p0 = _riccati_p_arrays(config.orbit, config.weights, t[[0, -1]])
+    p0 = _checked_p0(config, t)
     with np.errstate(over="ignore", invalid="ignore"):
         y0 = np.concatenate([config.x_a0, config.x_da0])
         y, _ = _flow(config, t[1:], t[0], p0, y0)

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from tadgame import riccati
+from tadgame import game, riccati
 from tadgame.game import GameConfig, propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
 from tadgame.orbital_core import ReferenceOrbit
@@ -68,6 +68,16 @@ def omega22(orbit, f2, f1):
 
 def c1(orbit, f2, f1):
     return kernel_blocks(orbit, f2, f1)[2]
+
+
+@pytest.fixture(autouse=True)
+def forget_p0():
+    """Every test starts with no remembered P(f0), so a test that changes
+    the factor check (riccati._CHUNK, say) runs it instead of reading what
+    an earlier test left behind."""
+    game._p0_record = None
+    yield
+    game._p0_record = None
 
 
 @pytest.fixture(scope="session")

@@ -184,8 +184,6 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("riccati.SingularFactor:") and "conjugate point" in err
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="ROADMAP item 3: the scans check F at f0 and ff only")
     @pytest.mark.parametrize("argv", [
         ["wincheck", "SCENARIO"],
         ["ellipsoids", "SCENARIO", "--f-list", "1.0,6.2", "--out", "OUT"],

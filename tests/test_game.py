@@ -1,6 +1,8 @@
 """Scenario model, feedback strategies, closed-form propagation, and cost."""
 
 import math
+import sys
+import threading
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -148,6 +150,119 @@ class TestDMatrix:
             assert np.linalg.norm(ya - yn) / np.linalg.norm(yn) < 1e-5
 
 
+class TestCheckedP0:
+    # P(f0) depends on the orbit, the weights and the grid, not on the
+    # start, so the factor check runs once per scenario
+    BASE = dict(ff=np.pi / 5.0)  # 100 steps
+
+    @staticmethod
+    def count_checks(monkeypatch):
+        calls = []
+        check = game._riccati_p_arrays
+
+        def counted(orbit, weights, t):
+            calls.append(t.size)
+            return check(orbit, weights, t)
+
+        monkeypatch.setattr(game, "_riccati_p_arrays", counted)
+        return calls
+
+    def test_second_placement_reuses_the_check(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        cfg = reference_config(**self.BASE)
+        for rd0 in ([-2.0, 0.0, 0.0], [-1.0, 3.0, 0.5]):
+            winning.winning_set_membership(cfg, rd0)
+        assert calls == [cfg.grid.size]
+
+    @pytest.mark.parametrize("change", [
+        lambda c: replace(c, orbit=replace(c.orbit, e=0.2)),
+        lambda c: replace(c, weights=replace(c.weights, s_dav=0.002)),
+        lambda c: replace(c, ff=np.pi / 10.0),
+        lambda c: replace(c, h_f=c.h_f / 2.0),
+    ], ids=["e", "weight", "ff", "h_f"])
+    def test_scenario_change_checks_again(self, monkeypatch, change):
+        calls = self.count_checks(monkeypatch)
+        cfg = reference_config(**self.BASE)
+        other = change(cfg)
+        scan_quadratics(cfg)
+        scan_quadratics(other)
+        assert calls == [cfg.grid.size, other.grid.size]
+        # the record now holds the changed scenario's P(f0)
+        t = riccati._tables(other.orbit, other.grid)
+        assert np.array_equal(game._p0_record[1],
+                              riccati._riccati_p_arrays(other.orbit, other.weights, t))
+
+    def test_start_change_does_not(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        cfg = reference_config(**self.BASE)
+        moved = replace(cfg, x_a0=[0.0, 25.0, 1.0, 0.1, 0.0, 0.0],
+                        x_da0=[-3.0, -25.0, 0.0, 0.0, 0.2, 0.0])
+        propagate_analytical(cfg)
+        got = propagate_analytical(moved)
+        assert calls == [cfg.grid.size]
+        game._p0_record = None
+        want = propagate_analytical(moved)
+        for field in fields(Trajectory):
+            assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
+
+    def test_record_holds_p_alone(self):
+        cfg = reference_config(**self.BASE)
+        t = riccati._tables(cfg.orbit, cfg.grid)
+        p0 = game._checked_p0(cfg, t)
+        key, held = game._p0_record
+        assert held is p0 and not p0.flags.writeable
+        assert p0.shape == (12, 12) and not np.shares_memory(p0, t)
+        assert key == (cfg.orbit, cfg.weights, cfg.f0, cfg.ff, cfg.n_steps)
+        assert game._checked_p0(cfg, t[:1]) is p0
+
+    def test_singular_factor_twice(self, monkeypatch):
+        calls = self.count_checks(monkeypatch)
+        cfg = reference_config(**self.BASE)
+        propagate_analytical(cfg)
+        before = game._p0_record
+        w = replace(WEIGHTS, r_d=1.0, s_dar=100.0, s_dav=100.0)
+        bad = reference_config(weights=w)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(riccati.SingularFactor) as info:
+                propagate_analytical(bad)
+            errors.append((info.value.f, info.value.cond, str(info.value)))
+        assert errors[0] == errors[1]
+        assert len(calls) == 3 and game._p0_record is before
+
+    def test_threads_never_mix_scenarios(self):
+        # more threads than cores, two scenarios in turn, and a short
+        # switch interval: a record read as key and P in two steps would
+        # hand one scenario the other's P(f0)
+        cfgs = [reference_config(**self.BASE),
+                reference_config(orbit=replace(ORBIT, e=0.3), **self.BASE)]
+        wants = []
+        for cfg in cfgs:
+            game._p0_record = None
+            wants.append(scan_quadratics(cfg))
+        bad = []
+
+        def worker(i):
+            for k in range(20):
+                j = (i + k) % 2
+                got = scan_quadratics(cfgs[j])
+                if not all(np.array_equal(g, w) for g, w in zip(got, wants[j])):
+                    bad.append((i, k))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert bad == []
+
+
 class TestNashControls:
     def test_zero_state_zero_control(self):
         cfg = reference_config()
@@ -242,6 +357,7 @@ class TestPropagateAnalytical:
         wants = [propagate_analytical(cfg) for cfg in configs]
         monkeypatch.setattr(riccati, "_CHUNK", chunk)
         for cfg, want in [(reference_config(), analytical_run[0]), *zip(configs, wants)]:
+            game._p0_record = None  # check at this chunk size, whatever the order
             got = propagate_analytical(cfg)
             for field in fields(Trajectory):
                 assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
@@ -268,16 +384,19 @@ class TestPropagateAnalytical:
     @pytest.mark.parametrize("run, ff, bound", [
         (propagate_analytical, 20.0 * np.pi, 1.5),
         (scan_quadratics, 20.0 * np.pi, 1.5),
-        (propagate_analytical, 2.0 * np.pi, 3.1),
-    ], ids=["propagate_analytical", "scan_quadratics", "propagate_analytical-1001"])
+        (propagate_analytical, 2.0 * np.pi, 1.5),
+        (scan_quadratics, 2.0 * np.pi, 1.2),
+    ], ids=["propagate_analytical", "scan_quadratics", "propagate_analytical-1001",
+            "scan_quadratics-1001"])
     def test_peak_memory_per_node(self, run, ff, bound):
         # the factor check holds its 12x12 and 6x6 stacks for one chunk
         # only, and the flow builds one 6x6 stack, of C_hat differences, so
-        # on the 10-revolution grid the peak is the tables and the outputs.
-        # On the 1001-node reference grid the first chunk dominates; it
-        # holds no inverse stack and no Omega11 stack
+        # the peak is the tables and the outputs, on the 1001-node
+        # reference grid too.  The measured run checks the factor: it does
+        # not read the P(f0) that the first run left behind
         cfg = reference_config(ff=ff)
         run(cfg)
+        game._p0_record = None
         tracemalloc.start()
         try:
             run(cfg)

@@ -289,6 +289,25 @@ class TestQuadraticEquivalence:
         assert flips / len(pts) < 0.05
 
 
+class TestOneFactorPolicy:
+    def test_conjugate_point_scenario_raises_everywhere(self):
+        # det F <= 0 at the last node before ff, so there is a conjugate
+        # point inside the horizon: every closed-form route that solves
+        # P(f0) raises the same error as propagate_analytical
+        w = riccati.WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0,
+                              s_dar=1000.0, s_dav=1000.0)
+        cfg = reference_config(weights=w)
+        routes = [propagate_analytical, scan_quadratics,
+                  lambda c: ellipsoid_at(c, 1.0, "S1"),
+                  lambda c: winning_set_membership(c, RD0_REF)]
+        errors = []
+        for route in routes:
+            with pytest.raises(riccati.SingularFactor, match="conjugate point") as info:
+                route(cfg)
+            errors.append((info.value.f, info.value.cond, str(info.value)))
+        assert errors == errors[:1] * len(routes)
+
+
 class TestEllipsoid:
     def test_center_value_is_minus_radius_squared(self, ref_config):
         for which in ("S1", "S2"):
