@@ -82,13 +82,13 @@ class GameConfig:
 
     def with_defender_position(self, rd0):
         """Same scenario with the defender moved to absolute position rd0
-        (km) and hovering initial velocities for both players."""
+        (km) at zero velocity relative to the pursuer.  x_a0 is kept as
+        given, velocity included, so a moving pursuer stays moving and the
+        winning conditions still reject it."""
         rd0 = np.asarray(rd0, dtype=float)
         if rd0.shape != (3,):
             raise ValueError(f"rd0 must be a 3-vector, got {rd0!r}")
-        x_a0 = np.concatenate([self.x_a0[:3], np.zeros(3)])
-        x_da0 = np.concatenate([rd0 - self.x_a0[:3], np.zeros(3)])
-        return replace(self, x_a0=x_a0, x_da0=x_da0)
+        return replace(self, x_da0=np.concatenate([rd0 - self.x_a0[:3], np.zeros(3)]))
 
 
 @dataclass(frozen=True)
@@ -137,39 +137,47 @@ def _flow(config, t, t0, p0, z0):
     return y, kappa
 
 
-# the last P(f0) that passed the factor check, as one (key, P) tuple: a
-# reader takes both from one read, so it never pairs one scenario's key
-# with another's P
+# the last P(f0) that passed the factor check, as one (key, f0 record, P)
+# tuple: a reader takes all three from one read, so it never pairs one
+# scenario's key with another's P
 _p0_record = None
 
 
-def _checked_p0(config, t):
-    """P(f0) of the scenario, 12x12 and read-only, from the factor check on
-    t, its whole grid table: the one place that decides where the factor is
-    checked (at every node, see _riccati_p_arrays).
+def _solve(config, z0, f=None):
+    """The closed form of the scenario from the columns of z0 (12 or 12 x k)
+    at the table records t of f, or of the grid when f is None: returns
+    (t, P(f0), the joint states from _flow at t, kappa).
 
-    P(f0) depends on the orbit, the weights and the grid, not on the start,
-    so the last one that passed is kept and a new start in the same
-    scenario reads it without a check.  The record holds P alone, no table
-    and no view of one; a SingularFactor leaves it as it was."""
+    P(f0) comes from the factor check on the whole grid table, the one
+    place that decides where the factor is checked (at every node, see
+    _riccati_p_arrays).  It depends on the orbit, the weights and the grid,
+    not on the start, so the last one that passed is kept, read-only, with
+    a copy of the f0 record: a new start in the same scenario reads it and
+    builds no grid table when f is given.  The record holds no table and
+    no view of one; a SingularFactor leaves it as it was.  Values that
+    overflow come out as inf or nan, for the caller to reject."""
     global _p0_record
+    t = _tables(config.orbit, config.grid if f is None else f)
     key = (config.orbit, config.weights, config.f0, config.ff, config.n_steps)
     record = _p0_record
     if record is not None and record[0] == key:
-        return record[1]
-    p0 = _riccati_p_arrays(config.orbit, config.weights, t)
-    p0.flags.writeable = False
-    _p0_record = (key, p0)
-    return p0
+        _, t0, p0 = record
+    else:
+        checked = t if f is None else _tables(config.orbit, config.grid)
+        p0 = _riccati_p_arrays(config.orbit, config.weights, checked)
+        p0.flags.writeable = False
+        t0 = checked[0].copy()
+        _p0_record = (key, t0, p0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y, kappa = _flow(config, t, t0, p0, z0)
+    return t, p0, y, kappa
 
 
 def _d_grid(config, f):
     """Propagation matrix D(f) = U11(f, f0) + U12(f, f0) P(f0), mapping the
     initial joint state to the joint state at a scalar or array anomaly f:
     the flow of the columns of the identity."""
-    t = _tables(config.orbit, config.grid)
-    p0 = _checked_p0(config, t)
-    return _flow(config, _tables(config.orbit, f), t[0], p0, np.eye(12))[0]
+    return _solve(config, np.eye(12), f)[2]
 
 
 def _cost_from_arrays(p0, y0):
@@ -188,20 +196,18 @@ def _require_finite(what, *arrays):
 def propagate_analytical(config):
     """Propagate the equilibrium game over the whole grid in closed form.
 
-    One table evaluation on the grid gives everything: P(f0) from
-    _checked_p0, then _flow gives the states and kappa from y0, the
-    costates being -J phi(f) K kappa (P(f0) y0 at f0).  The saddle-point controls come
-    from the costates on the whole grid,
+    One table evaluation on the grid gives everything: _solve gives P(f0),
+    the states and kappa from y0, the costates being -J phi(f) K kappa
+    (P(f0) y0 at f0).  The saddle-point controls come from the costates on
+    the whole grid,
     u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v,
     and the cost is the game value 1/2 y0^T P(f0) y0.
     Raises OverflowError where a result is not finite."""
     orbit, weights = config.orbit, config.weights
-    grid = config.grid
-    t = _tables(orbit, grid)
-    p0 = _checked_p0(config, t)
+    y0 = np.concatenate([config.x_a0, config.x_da0])
+    t, p0, y, kappa = _solve(config, y0)
+    grid = config.grid  # after the table build, whose peak it would raise
     with np.errstate(over="ignore", invalid="ignore"):
-        y0 = np.concatenate([config.x_a0, config.x_da0])
-        y, kappa = _flow(config, t, t[0], p0, y0)
         costates = -_J @ (t["phi"] @ (_K @ kappa))
         costates[0] = (p0 @ y0).reshape(2, 6).T
         x_a, x_da = y[:, 0:6], y[:, 6:12]

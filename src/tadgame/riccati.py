@@ -369,7 +369,7 @@ def riccati_p(orbit, weights, f, ff):
 
     The factor is checked at f and ff only, so a conjugate point between
     them goes unseen; a scenario's P(f0), checked on its whole grid, comes
-    from game._checked_p0.  At f = ff the blocks collapse to
+    from game._solve.  At f = ff the blocks collapse to
     identity/zero and P equals diag(Sa, -Sda) exactly."""
     if f > ff:
         raise ValueError(f"query anomaly f={f!r} lies beyond the horizon ff={ff!r}")

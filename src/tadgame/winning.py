@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .game import _checked_p0, _d_grid, _flow, _require_finite
-from .riccati import _Singular, _require_conditioned, _tables
+from .game import _d_grid, _require_finite, _solve
+from .riccati import _Singular, _require_conditioned
 
 
 class SingularBlock(_Singular):
@@ -112,9 +112,12 @@ def ellipsoid_at(config, f, which):
     ("S2") set at anomaly f in [f0, ff], for a hovering scenario.
 
     S1 is built from (D11rr, D12rr), S2 from (D21rr, D22rr), with D built at
-    f.  The Gram matrix is own^T own and the center offset is
-    r_tilde = Ra0 - x, x solved from own x = cross Ra0, own being the block
-    that the defender initial position enters through (D12rr or D22rr)."""
+    f from the scenario's P(f0), so a scenario whose P(f0) is recorded
+    builds the table at f alone.  The Gram matrix is own^T own and the
+    center offset is r_tilde = Ra0 - x, x solved from own x = cross Ra0,
+    own being the block that the defender initial position enters through
+    (D12rr or D22rr).  Raises OverflowError where the centre is not
+    finite."""
     if which not in ("S1", "S2"):
         raise ValueError(f'which must be "S1" or "S2", got {which!r}')
     _require_hovering(config)
@@ -129,8 +132,9 @@ def ellipsoid_at(config, f, which):
     _require_conditioned(own, f, SingularBlock, f"position block of the {label} condition")
     ra0 = config.x_a0[:3]
     radius = config.r1 if which == "S1" else config.r2
-    return Ellipsoid(center_offset=ra0 - np.linalg.solve(own, cross @ ra0),
-                     radius=float(radius), m=own)
+    center = ra0 - np.linalg.solve(own, cross @ ra0)
+    _require_finite("the ellipsoid centre", center)
+    return Ellipsoid(center_offset=center, radius=float(radius), m=own)
 
 
 def scan_quadratics(config):
@@ -138,26 +142,21 @@ def scan_quadratics(config):
 
     At one placement each quadratic is a squared propagated distance minus
     the squared radius, g1 = |x_a(f)|^2 - R1^2 and g2 = |x_da(f)|^2 - R2^2,
-    so the scan reads them from the positions that game._flow gives for y0,
-    as in propagate_analytical, from one table build on the grid and the
-    P(f0) of game._checked_p0: the factor is checked at every node, once
-    per scenario, so a second placement reuses the check.  Returns
-    (f, g1_values, g2_values) arrays over (f0, ff] for the configured
-    defender initial position; raises SingularFactor as
+    so the scan reads them from the positions that game._solve gives for
+    y0 on the grid, as propagate_analytical does: the factor is checked at
+    every node, once per scenario, so a second placement reuses the check.
+    Returns (f, g1_values, g2_values) arrays over (f0, ff] for the
+    configured defender initial position; raises SingularFactor as
     propagate_analytical does, and OverflowError where a value is not
     finite."""
     _require_hovering(config)
-    grid = config.grid
-    t = _tables(config.orbit, grid)
-    p0 = _checked_p0(config, t)
+    _, _, y, _ = _solve(config, np.concatenate([config.x_a0, config.x_da0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        y0 = np.concatenate([config.x_a0, config.x_da0])
-        y, _ = _flow(config, t[1:], t[0], p0, y0)
-        v1 = np.sum(y[:, 0:3] ** 2, axis=1) - config.r1**2
-        v2 = np.sum(y[:, 6:9] ** 2, axis=1) - config.r2**2
+        v1 = np.sum(y[1:, 0:3] ** 2, axis=1) - config.r1**2
+        v2 = np.sum(y[1:, 6:9] ** 2, axis=1) - config.r2**2
     _require_finite("the winning scan", v1, v2)
     # the grid, not t["f"]: a view into t would keep the whole table alive
-    return grid[1:], v1, v2
+    return config.grid[1:], v1, v2
 
 
 def attacker_wins(fs, v1, v2):

@@ -276,28 +276,41 @@ class TestExitCodes:
         assert err.startswith("cli.PreconditionError:") and err.count("\n") == 1
         assert not out_path.exists()
 
+    def test_wincheck_rd0_keeps_a_moving_attacker(self, tmp_path, capsys):
+        # --rd0 moves the defender only: the attacker's velocity still
+        # fails the hovering precondition, as it does without --rd0
+        path = scenario_file(tmp_path, xa0="0, 20, 0, 0.3, 0, 0")
+        code, out, err = run(["wincheck", path, "--rd0=-2,-20,0"], capsys)
+        assert code == 4 and out == ""
+        assert err.startswith("cli.PreconditionError:") and err.count("\n") == 1
+
     def test_wincheck_malformed_rd0(self, tmp_path, capsys):
         path = scenario_file(tmp_path)
         code, _, err = run(["wincheck", path, "--rd0", "1,2"], capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("argv, horizon", [
+    @pytest.mark.parametrize("argv, overrides", [
         (["simulate"], {}),
         (["wincheck"], {}),
         # ten grid steps; test_numerical_start_checked_before_sweep runs
         # the full horizon
         (["simulate", "--method", "numerical"], {"ff": repr(10 * math.pi / 500.0)}),
-    ], ids=["simulate", "wincheck", "simulate-numerical"])
-    def test_overflowing_initial_state(self, tmp_path, capsys, argv, horizon):
+        # at 1e200 the capture ellipsoid's centre is still finite
+        (["ellipsoids", "--f-list", "1.0", "--out", "OUT"], {"xa0": "0, 1e307, 0, 0, 0, 0"}),
+    ], ids=["simulate", "wincheck", "simulate-numerical", "ellipsoids"])
+    def test_overflowing_initial_state(self, tmp_path, capsys, argv, overrides):
         # finite but so large that the squared distances overflow, and far
-        # past the RK4 blow-up limit: one stderr line and exit 2, no warning
-        # and no Infinity or NaN on stdout
-        path = scenario_file(tmp_path, xa0="0, 1e200, 0, 0, 0, 0", **horizon)
+        # past the RK4 blow-up limit: one stderr line and exit 2, no warning,
+        # no Infinity or NaN on stdout and no file written
+        path = scenario_file(tmp_path, **{"xa0": "0, 1e200, 0, 0, 0, 0", **overrides})
+        out_path = tmp_path / "out.csv"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run([*argv, path], capsys)
+            code, out, err = run([str(out_path) if a == "OUT" else a for a in argv] + [path],
+                                 capsys)
         assert code == 2 and out == ""
         assert err.startswith("OverflowError:") and err.count("\n") == 1
+        assert not out_path.exists()
 
     def test_numerical_start_checked_before_sweep(self, tmp_path, capsys, monkeypatch):
         # past the RK4 blow-up limit at the start: exit 2 before the

@@ -63,6 +63,15 @@ class TestGameConfig:
         assert np.all(moved.x_da0[3:] == 0.0)
         with pytest.raises(ValueError):
             cfg.with_defender_position([1.0, 2.0])
+        # a moving pursuer keeps its state, so the winning conditions still
+        # see its velocity and reject the scenario
+        x_a0 = np.array([0.0, 20.0, 0.0, 0.3, 0.0, 0.0])
+        cfg = reference_config(x_a0=x_a0, x_da0=np.array([-2.0, -20.0, 0.0, 0.1, 0.0, 0.0]))
+        moved = cfg.with_defender_position([-2.0, -20.0, 0.0])
+        assert np.array_equal(moved.x_a0, x_a0)
+        assert np.array_equal(moved.x_da0, np.array([-2.0, -40.0, 0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(winning.NotHovering):
+            winning.winning_set_membership(cfg, [-2.0, -20.0, 0.0])
 
 
 class TestSystemMatrices:
@@ -187,10 +196,11 @@ class TestCheckedP0:
         scan_quadratics(cfg)
         scan_quadratics(other)
         assert calls == [cfg.grid.size, other.grid.size]
-        # the record now holds the changed scenario's P(f0)
+        # the record now holds the changed scenario's f0 record and P(f0)
         t = riccati._tables(other.orbit, other.grid)
-        assert np.array_equal(game._p0_record[1],
-                              riccati._riccati_p_arrays(other.orbit, other.weights, t))
+        _, t0, p0 = game._p0_record
+        assert t0.tobytes() == t[0].tobytes()
+        assert np.array_equal(p0, riccati._riccati_p_arrays(other.orbit, other.weights, t))
 
     def test_start_change_does_not(self, monkeypatch):
         calls = self.count_checks(monkeypatch)
@@ -205,15 +215,46 @@ class TestCheckedP0:
         for field in fields(Trajectory):
             assert np.array_equal(getattr(got, field.name), getattr(want, field.name))
 
-    def test_record_holds_p_alone(self):
+    @staticmethod
+    def keep_tables(monkeypatch):
+        built = []
+
+        def kept(orbit, f):
+            built.append(riccati._tables(orbit, f))
+            return built[-1]
+
+        monkeypatch.setattr(game, "_tables", kept)
+        return built
+
+    def test_record_holds_no_table(self):
         cfg = reference_config(**self.BASE)
-        t = riccati._tables(cfg.orbit, cfg.grid)
-        p0 = game._checked_p0(cfg, t)
-        key, held = game._p0_record
-        assert held is p0 and not p0.flags.writeable
-        assert p0.shape == (12, 12) and not np.shares_memory(p0, t)
+        t, p0, _, _ = game._solve(cfg, np.eye(12))
+        key, t0, held = game._p0_record
         assert key == (cfg.orbit, cfg.weights, cfg.f0, cfg.ff, cfg.n_steps)
-        assert game._checked_p0(cfg, t[:1]) is p0
+        assert held is p0 and not p0.flags.writeable and p0.shape == (12, 12)
+        # the f0 record is one 584-byte node, equal to the table's first
+        assert t0.dtype == t.dtype and t0.nbytes == 584 and t0.tobytes() == t[0].tobytes()
+        assert game._solve(cfg, np.eye(12), 1.0)[1] is p0
+
+    @pytest.mark.parametrize("f", [None, np.array([0.1, 0.2])], ids=["grid", "anomalies"])
+    def test_f0_record_shares_no_memory(self, monkeypatch, f):
+        # at anomalies, a miss builds the grid table for the check too; the
+        # record keeps no view of either table
+        built = self.keep_tables(monkeypatch)
+        cfg = reference_config(**self.BASE)
+        game._solve(cfg, np.eye(12), f)
+        assert len(built) == (1 if f is None else 2)
+        _, t0, p0 = game._p0_record
+        assert not any(np.shares_memory(a, tab) for a in (t0, p0) for tab in built)
+
+    def test_recorded_ellipsoid_builds_no_grid_table(self, monkeypatch):
+        built = self.keep_tables(monkeypatch)
+        cfg = reference_config(**self.BASE)
+        ellipsoid_at(cfg, 0.3, "S2")
+        assert [tab.shape for tab in built] == [(), cfg.grid.shape]
+        built.clear()
+        ellipsoid_at(cfg, 0.4, "S1")
+        assert [tab.shape for tab in built] == [()]
 
     def test_singular_factor_twice(self, monkeypatch):
         calls = self.count_checks(monkeypatch)
@@ -366,17 +407,17 @@ class TestPropagateAnalytical:
         assert np.linalg.norm(terminals[0] - terminals[1]) <= 1e-9 * np.linalg.norm(terminals[1])
         assert costs[0] == costs[1] == costs[2]
 
-    @pytest.mark.parametrize("module, run", [(game, propagate_analytical),
-                                             (winning, scan_quadratics)],
+    @pytest.mark.parametrize("run", [propagate_analytical, scan_quadratics],
                              ids=["propagate_analytical", "scan_quadratics"])
-    def test_one_table_build(self, monkeypatch, module, run):
+    def test_one_table_build(self, monkeypatch, run):
+        # game._solve checks the grid table it flows on
         calls = []
 
         def counted(orbit, f):
             calls.append(np.shape(f))
             return riccati._tables(orbit, f)
 
-        monkeypatch.setattr(module, "_tables", counted)
+        monkeypatch.setattr(game, "_tables", counted)
         cfg = reference_config(ff=np.pi / 4.0)
         run(cfg)
         assert calls == [cfg.grid.shape]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import reference_config
-from tadgame import riccati, winning
+from tadgame import game, riccati
 from tadgame.game import Trajectory, _d_grid, propagate_analytical
 from tadgame.winning import (
     Ellipsoid,
@@ -153,7 +153,7 @@ class TestScanAndWin:
             built.append(riccati._tables(orbit, f))
             return built[-1]
 
-        monkeypatch.setattr(winning, "_tables", kept)
+        monkeypatch.setattr(game, "_tables", kept)
         fs, _, _ = scan_quadratics(ref_config)
         assert np.array_equal(fs, ref_config.grid[1:])
         assert built and not any(np.shares_memory(fs, t) for t in built)
