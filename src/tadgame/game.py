@@ -13,9 +13,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .orbital_core import _J, _K, ReferenceOrbit, rho
-# _u_blocks_arrays, riccati_p unused: perfbench/spans.py traces them (tests/test_traced_names.py)
-from .riccati import (
-    WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays, riccati_p)
+# _u_blocks_arrays unused: perfbench/spans.py traces it (tests/test_traced_names.py)
+from .riccati import WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays
+
+# a name for perfbench/spans.py to trace alone: nothing calls it
+riccati_p = _riccati_p_arrays
 
 
 # most grid steps a scenario may ask for: memory grows with the grid (the

@@ -8,8 +8,9 @@ symplectic form (orbital_core), so every transition block of the coupled
 state/costate system is a 6x6 product of table records and the constants J
 and K (U11 = I2 x Omega11, U12 = M x C1, U22 = I2 x Omega22; U21 vanishes
 because the costates evolve autonomously), and the Riccati solution P(f) is
-F^-1 S U11 with the factor F = U22 - S U12 checked at every table record under
-one singularity policy and solved at f0 only.
+F^-1 S U11 with the factor F = U22 - S U12 checked at every record of the
+grid table under one singularity policy and solved at f0 only.  The package
+reads P(f0) through game._solve alone, so that check runs wherever P does.
 """
 
 import math
@@ -325,6 +326,11 @@ def _factor(orbit, weights, o22, c1):
     return factor
 
 
+# player-major indices of the in-plane and out-of-plane channels: F has no
+# entries between them, so det F is the product of the two channels' dets and
+# a sign of +1 on the 12x12 can hide two negative channels
+_CHANNELS = (np.array([0, 1, 3, 4, 6, 7, 9, 10]), np.array([2, 5, 8, 11]))
+
 # grid nodes per pass of the factor check: the factor stack and its 6x6
 # blocks live for one chunk only (a 12x12 stack of 128 is 147 kB), so a
 # checked run peaks at ~1.05 kB per node at every grid size, 1001 nodes
@@ -338,9 +344,12 @@ def _riccati_p_arrays(orbit, weights, t):
 
     The factor F (see _factor) is checked at every record, one chunk at a
     time: SingularFactor is raised where _require_conditioned raises, and
-    where slogdet gives det F <= 0.  F(ff) = I, so a nonpositive determinant
-    at f proves a conjugate point in (f, ff], and the largest such record
-    f_k brackets one in (f_k, f_k+1].  P is solved from F P = S U11 at f0."""
+    where slogdet gives a nonpositive det for either channel of F (see
+    _CHANNELS).  F(ff) = I, so a nonpositive channel determinant at f proves
+    a conjugate point in (f, ff], and the largest such record f_k brackets
+    one in (f_k, f_k+1].  P is solved from F P = S U11 at f0.  In the
+    package game._solve is the one caller, and it hands over the scenario's
+    whole grid table."""
     what = "factor U22 - S U12"
     last_nonpos = None
     for start in range(0, t.size, _CHUNK):
@@ -350,7 +359,8 @@ def _riccati_p_arrays(orbit, weights, t):
         if start == 0:
             factor_0 = factor[0].copy()
         # every factor in the chunk is finite and nonsingular by now
-        nonpos = np.flatnonzero(np.linalg.slogdet(factor)[0] < 0)
+        nonpos = np.flatnonzero(np.logical_or(
+            *(np.linalg.slogdet(factor[:, c[:, None], c])[0] < 0 for c in _CHANNELS)))
         if nonpos.size:
             j = nonpos[-1]
             last_nonpos = (start + j, float(kappa[j]))
@@ -361,16 +371,3 @@ def _riccati_p_arrays(orbit, weights, t):
                              f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
     s = np.diag(weights.s_block)
     return np.linalg.solve(factor_0, s[:, None] * np.kron(np.eye(2), omega11(t[-1], t[0])))
-
-
-def riccati_p(orbit, weights, f, ff):
-    """Closed-form Riccati solution P(f), a 12x12 array, for the horizon
-    ending at ff.
-
-    The factor is checked at f and ff only, so a conjugate point between
-    them goes unseen; a scenario's P(f0), checked on its whole grid, comes
-    from game._solve.  At f = ff the blocks collapse to
-    identity/zero and P equals diag(Sa, -Sda) exactly."""
-    if f > ff:
-        raise ValueError(f"query anomaly f={f!r} lies beyond the horizon ff={ff!r}")
-    return _riccati_p_arrays(orbit, weights, _tables(orbit, [float(f), float(ff)]))

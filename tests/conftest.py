@@ -15,7 +15,7 @@ from tadgame import game, riccati
 from tadgame.game import GameConfig, propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
 from tadgame.orbital_core import ReferenceOrbit
-from tadgame.riccati import WeightSet, _coupling, _tables, _u_blocks_arrays
+from tadgame.riccati import WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays
 from tadgame.winning import TerminalSets
 
 
@@ -48,6 +48,20 @@ def kernel_blocks(orbit, f2, f1):
     """(Omega11, Omega22, C1) from f1 to f2, through the table kernel."""
     t2, t1 = _tables(orbit, f2), _tables(orbit, f1)
     return (riccati.omega11(t2, t1), *_u_blocks_arrays(t2, t1))
+
+
+def riccati_p(orbit, weights, f, ff):
+    """Closed-form Riccati solution P(f), a 12x12 array, for the horizon
+    ending at ff, through the package's factor check on the records at f
+    and ff.
+
+    The factor is checked at f and ff only, so a conjugate point between
+    them goes unseen; a scenario's P(f0), checked on its whole grid, comes
+    from game._solve.  At f = ff the blocks collapse to identity/zero and P
+    equals diag(Sa, -Sda) exactly."""
+    if f > ff:
+        raise ValueError(f"query anomaly f={f!r} lies beyond the horizon ff={ff!r}")
+    return _riccati_p_arrays(orbit, weights, _tables(orbit, [float(f), float(ff)]))
 
 
 def dense_blocks(orbit, weights, f2, f1):

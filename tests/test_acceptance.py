@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import omega11, omega22, reference_config
+from conftest import omega11, omega22, reference_config, riccati_p
 from properties import eccentric_to_true, feedback_along, phi_inv, rel_scalar, riccati_rhs
 from tadgame.game import propagate_analytical
 from tadgame.numerical_baseline import integrate_riccati_backward, simulate_numerical
@@ -25,7 +25,7 @@ from tadgame.orbital_core import (
     rho,
     true_to_eccentric,
 )
-from tadgame.riccati import c_hat, riccati_p
+from tadgame.riccati import c_hat
 from tadgame.winning import (
     OutcomeTag,
     TerminalSets,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tadgame.numerical_baseline
-from conftest import reference_config, reference_orbit, reference_weights
+from conftest import reference_config, reference_orbit, reference_weights, riccati_p
 from properties import max_rel, riccati_rhs
 from tadgame.game import propagate_analytical
 from tadgame.numerical_baseline import (
@@ -21,7 +21,7 @@ from tadgame.numerical_baseline import (
     simulate_numerical,
 )
 from tadgame.orbital_core import rho
-from tadgame.riccati import WeightSet, riccati_p
+from tadgame.riccati import WeightSet
 
 ORBIT = reference_orbit()
 WEIGHTS = reference_weights()

@@ -14,7 +14,7 @@ import pytest
 
 import tadgame.cli
 import tadgame.winning
-from conftest import reference_config
+from conftest import reference_config, riccati_p
 from tadgame.cli import (
     ScenarioError,
     _rel_err,
@@ -25,7 +25,6 @@ from tadgame.cli import (
     write_trajectory_csv,
 )
 from tadgame.game import GameConfig, propagate_analytical
-from tadgame.riccati import riccati_p
 from tadgame.winning import ellipsoid_at
 
 H_F = 0.006283185307179587

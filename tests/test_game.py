@@ -10,13 +10,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from conftest import reference_config, reference_orbit, reference_weights
+from conftest import reference_config, reference_orbit, reference_weights, riccati_p
 from properties import coupled_system_matrix, feedback_along, feedback_controls, max_rel
 from tadgame import game, riccati, winning
 from tadgame.game import Trajectory, _d_grid, propagate_analytical
 from tadgame.numerical_baseline import _a_rows, _w_rows
 from tadgame.orbital_core import rho
-from tadgame.riccati import riccati_p
 from tadgame.winning import ellipsoid_at, scan_quadratics
 
 ORBIT = reference_orbit()

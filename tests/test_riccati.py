@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from conftest import c1, dense_blocks, kernel_blocks, omega11, reference_config
+from conftest import c1, dense_blocks, kernel_blocks, omega11, reference_config, riccati_p
 from properties import (
     C_INDEX,
     FROZEN_C,
@@ -29,7 +29,6 @@ from tadgame.riccati import (
     _tables,
     _u_blocks_arrays,
     c_hat,
-    riccati_p,
 )
 from tadgame.winning import SingularBlock
 
@@ -350,6 +349,29 @@ class TestFeedbackGain:
         sol = solve_ivp(field, (cfg.ff, cfg.ff - cfg.h_f), w.s_block.ravel(),
                         method="Radau", rtol=1e-8, atol=1e-10)
         assert sol.status != 0 or np.abs(sol.y[:, -1]).max() > 1e6
+
+    def test_two_negative_channels_are_a_conjugate_point(self, monkeypatch):
+        # F has no entries between the in-plane and out-of-plane channels,
+        # so flipping one row of each leaves kappa_1 and the sign of det F
+        # as they were, while each channel's det turns negative.  Only
+        # nodes before ff flip, as the bracket reads the next node
+        cfg = reference_config()
+        flip = cfg.grid <= 3.0
+        factor = riccati._factor
+
+        def flipped(orbit, weights, o22, c1):
+            out = factor(orbit, weights, o22, c1)
+            out[flip, 0] *= -1.0
+            out[flip, 2] *= -1.0
+            return out
+
+        monkeypatch.setattr(riccati, "_CHUNK", cfg.grid.size)
+        monkeypatch.setattr(riccati, "_factor", flipped)
+        with pytest.raises(SingularFactor, match=r"det <= 0 at f=2\.99707939: "
+                           r"conjugate point in \(2\.99707939, 3\.00336258\]") as info:
+            propagate_analytical(cfg)
+        assert info.value.f == cfg.grid[np.flatnonzero(flip)[-1]]
+        assert info.value.cond <= 1e14
 
     def test_omega11_once_per_check(self, monkeypatch):
         # P(f0) reads Omega11 at f0 alone, so the check forms it once
