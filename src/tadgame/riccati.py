@@ -8,9 +8,12 @@ symplectic form (orbital_core), so every transition block of the coupled
 state/costate system is a 6x6 product of table records and the constants J
 and K (U11 = I2 x Omega11, U12 = M x C1, U22 = I2 x Omega22; U21 vanishes
 because the costates evolve autonomously), and the Riccati solution P(f) is
-F^-1 S U11 with the factor F = U22 - S U12 checked at every record of the
-grid table under one singularity policy and solved at f0 only.  The package
-reads P(f0) through game._solve alone, so that check runs wherever P does.
+F^-1 S U11 with the factor F = U22 - S U12.  F is block-diagonal by channel,
+an 8x8 in-plane and a 4x4 out-of-plane block, so the check builds the two
+blocks from their own rows of the table records and tests them at every
+record of the grid table under one singularity policy; the 12x12 F is
+formed and solved at f0 only.  The package reads P(f0) through game._solve
+alone, so that check runs wherever P does.
 """
 
 import math
@@ -36,18 +39,18 @@ class _Singular(RuntimeError):
 
 
 class SingularFactor(_Singular):
-    """The 12x12 factor that P is solved with is numerically singular, or
-    its determinant shows a conjugate point before the horizon ends."""
+    """The factor F that P is solved with is numerically singular at a
+    checked anomaly (kappa_1 of F, from its two channel blocks), or the
+    determinant of one of its channels shows a conjugate point before the
+    horizon ends."""
 
 
-def _require_conditioned(mats, f, error, what):
-    """Condition number kappa_1 = ||A||_1 ||A^-1||_1 of a stack of square
-    matrices built at the scalar or grid anomaly f.  Under the one
-    singularity policy, raise error(message, f=, cond=) at the first anomaly
-    where kappa_1 is not at most _SINGULAR_COND: np.linalg.cond gives inf
-    for an exactly singular matrix and nan, reported as inf, for one with
-    NaN entries."""
-    kappa = np.linalg.cond(mats, 1)
+def _raise_if_singular(kappa, f, error, what):
+    """The one singularity policy on the condition numbers kappa_1 of
+    matrices built at the scalar or grid anomaly f: raise
+    error(message, f=, cond=) at the first anomaly where kappa_1 is not at
+    most _SINGULAR_COND, a nan (a matrix with NaN entries) reported as
+    inf."""
     bad = ~(kappa <= _SINGULAR_COND)
     if np.any(bad):
         idx = int(np.argmax(bad))
@@ -55,6 +58,15 @@ def _require_conditioned(mats, f, error, what):
         c_bad = float(np.nan_to_num(np.ravel(kappa)[idx], nan=np.inf, posinf=np.inf))
         raise error(f"{what} is numerically singular at f={f_bad:.9g} "
                     f"(condition number {c_bad:.3e})", f=f_bad, cond=c_bad)
+
+
+def _require_conditioned(mats, f, error, what):
+    """Condition number kappa_1 = ||A||_1 ||A^-1||_1 of a stack of square
+    matrices built at the scalar or grid anomaly f, checked by
+    _raise_if_singular: np.linalg.cond gives inf for an exactly singular
+    matrix and nan for one with NaN entries."""
+    kappa = np.linalg.cond(mats, 1)
+    _raise_if_singular(kappa, f, error, what)
     return kappa
 
 
@@ -281,7 +293,7 @@ def _tables(orbit, f):
 def _identity_at_equal(block, t2, t1):
     """The transition block, exactly I where t2 and t1 share an anomaly."""
     eq = np.asarray(t2["f"] == t1["f"])[..., None, None]
-    return np.where(eq, np.eye(6), block) if np.any(eq) else block
+    return np.where(eq, np.eye(block.shape[-1]), block) if np.any(eq) else block
 
 
 def omega11(t2, t1):
@@ -312,55 +324,129 @@ def _coupling(orbit, weights):
     return m / orbit.n**4
 
 
-def _factor(orbit, weights, o22, c1):
-    """The factor F = U22 - S U12, filled block by block:
-    F_ij = delta_ij Omega22 - s_i M_ij C1."""
-    m = _coupling(orbit, weights)
-    s = np.diag(weights.s_block)
-    factor = np.empty(np.shape(c1)[:-2] + (12, 12))
-    for i in range(2):
-        rows = slice(6 * i, 6 * i + 6)
-        for j in range(2):
-            block = -(s[rows, None] * m[i, j]) * c1
-            factor[..., rows, 6 * j:6 * j + 6] = o22 + block if i == j else block
+def _factor(orbit, weights, o22, c1, rows=np.arange(6)):
+    """The factor F = U22 - S U12 on each player's state rows `rows` (all
+    six by default; one channel's in _channel_factors), from Omega22 and C1
+    on those rows: F_ij = delta_ij Omega22 - s_i M_ij C1."""
+    k = rows.size
+    s = np.diag(weights.s_block)[(rows + [[0], [6]]).ravel()]
+    m = _coupling(orbit, weights).repeat(k, 0).repeat(k, 1)
+    factor = np.tile(c1, (2, 2)) * -(s[:, None] * m)
+    factor[..., :k, :k] += o22
+    factor[..., k:, k:] += o22
     return factor
 
 
-# player-major indices of the in-plane and out-of-plane channels: F has no
-# entries between them, so det F is the product of the two channels' dets and
-# a sign of +1 on the 12x12 can hide two negative channels
-_CHANNELS = (np.array([0, 1, 3, 4, 6, 7, 9, 10]), np.array([2, 5, 8, 11]))
+# the in-plane and out-of-plane channels: each player's state rows and the
+# constants they mix.  phi, C_hat, J and K have no entries between the two,
+# so neither has the factor F: it is block-diagonal, an 8x8 in-plane block
+# and a 4x4 out-of-plane block on the player-major indices (rows, rows + 6)
+_CHANNELS = ((np.array([0, 1, 3, 4]), slice(0, 4)), (np.array([2, 5]), slice(4, 6)))
 
-# grid nodes per pass of the factor check: the factor stack and its 6x6
-# blocks live for one chunk only (a 12x12 stack of 128 is 147 kB), so a
-# checked run peaks at ~1.05 kB per node at every grid size, 1001 nodes
-# included (1.51 at 256, 2.36 at 512)
-_CHUNK = 128
+
+def _channel_factors(orbit, weights, t2, t1):
+    """The two diagonal blocks of the factor F from f1 to f2 (see _factor),
+    in-plane then out-of-plane, from the table records at f2 and f1
+    (broadcast): each is built from its channel's rows of phi and C_hat
+    alone, with Omega22 exactly I where f2 = f1.  F has no other nonzero
+    entries."""
+    blocks = []
+    for rows, consts in _CHANNELS:
+        phi2 = t2["phi"][..., rows, consts]
+        phi1_t = np.swapaxes(t1["phi"][..., rows, consts], -1, -2)
+        o22 = -(_J[rows[:, None], rows] @ phi2 @ _K[consts, consts]) @ phi1_t
+        c1 = phi2 @ (t2["chat"][..., consts, consts] - t1["chat"][..., consts, consts]) @ phi1_t
+        blocks.append(_factor(orbit, weights, _identity_at_equal(o22, t2, t1), c1, rows))
+    return blocks
+
+
+# the column pairs of the 2x2 minors of a 4x4 matrix
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _cofactor_tables():
+    """Index and sign tables of the 16 cofactors of a 4x4 matrix A, three
+    terms each.  Cofactor (c, r) expands the 3x3 minor without row c and
+    column r along row o = c ^ 1, the other row of c's pair (0, 1) or
+    (2, 3): the terms are A[o, k], k != r, times the 2x2 minor of the other
+    pair of rows on the two columns left, with the sign (-1)^(c + r + p),
+    p the place of k among the three columns."""
+    entry, minor, sign = np.empty((16, 3), int), np.empty((16, 3), int), np.empty((16, 3))
+    for c, r in np.ndindex(4, 4):
+        cols = [k for k in range(4) if k != r]
+        for p, k in enumerate(cols):
+            entry[4 * c + r, p] = 4 * (c ^ 1) + k
+            minor[4 * c + r, p] = (6 if c < 2 else 0) + _PAIRS.index(
+                tuple(x for x in cols if x != k))
+            sign[4 * c + r, p] = (-1) ** (c + r + p)
+    return entry, minor, sign
+
+
+_COFACTORS = _cofactor_tables()
+
+
+def _det_cofactors4(a):
+    """det A and the cofactor matrix of a stack of 4x4 matrices A, from the
+    2x2 minors of its rows (0, 1) (the first six) and (2, 3): a few
+    elementwise products, no LAPACK call.  A^-1 = cofactors^T / det."""
+    i, j = np.array(_PAIRS).T
+    minors = np.concatenate([a[..., 0, i] * a[..., 1, j] - a[..., 0, j] * a[..., 1, i],
+                             a[..., 2, i] * a[..., 3, j] - a[..., 2, j] * a[..., 3, i]], axis=-1)
+    entry, minor, sign = _COFACTORS
+    flat = a.reshape(a.shape[:-2] + (16,))
+    cof = np.einsum("...kt,kt->...k", flat[..., entry] * minors[..., minor], sign).reshape(a.shape)
+    return np.sum(a[..., 0, :] * cof[..., 0, :], axis=-1), cof
+
+
+def _channel_check(blocks):
+    """kappa_1 of the factor F from its channel blocks (in-plane 8x8,
+    out-of-plane 4x4; see _channel_factors), and the sign of each block's
+    det.  F is block-diagonal, so ||F||_1 = max_c ||F_c||_1 and
+    ||F^-1||_1 = max_c ||F_c^-1||_1.  In plane F_c^-1 comes from
+    np.linalg.inv and the sign from slogdet; out of plane both come from
+    the cofactors, F_c^-1 being cofactors^T / det.  An exactly
+    singular block gives kappa_1 = inf and one with NaN entries nan, as
+    np.linalg.cond of F does; the signs there mean nothing."""
+    inplane, outplane = blocks
+    norm1 = lambda a: np.abs(a).sum(axis=-2).max(axis=-1)
+    det, cof = _det_cofactors4(outplane)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        try:
+            inv_in = norm1(np.linalg.inv(inplane))
+        except np.linalg.LinAlgError:  # exactly singular: cond gives inf there
+            inv_in = np.linalg.cond(inplane, 1) / norm1(inplane)
+        inv_out = norm1(np.swapaxes(cof, -1, -2)) / np.abs(det)
+        kappa = np.maximum(norm1(inplane), norm1(outplane)) * np.maximum(inv_in, inv_out)
+        return kappa, (np.linalg.slogdet(inplane)[0], np.sign(det))
+
+
+# grid nodes per pass of the factor check: the channel blocks and the
+# values they are built from live for one chunk only, so a checked run
+# peaks at ~1.06 kB per node at every grid size, 1001 nodes included
+_CHUNK = 256
 
 
 def _riccati_p_arrays(orbit, weights, t):
     """P = F^-1 S U11 as a 12x12 array at the first of the table records t
     (a 1-D array in grid order), for the horizon ending at the last.
 
-    The factor F (see _factor) is checked at every record, one chunk at a
-    time: SingularFactor is raised where _require_conditioned raises, and
-    where slogdet gives a nonpositive det for either channel of F (see
-    _CHANNELS).  F(ff) = I, so a nonpositive channel determinant at f proves
-    a conjugate point in (f, ff], and the largest such record f_k brackets
-    one in (f_k, f_k+1].  P is solved from F P = S U11 at f0.  In the
-    package game._solve is the one caller, and it hands over the scenario's
-    whole grid table."""
+    The factor F is checked at every record, one chunk at a time, on its
+    two channel blocks (_channel_factors, _channel_check): SingularFactor
+    is raised where _raise_if_singular raises on kappa_1 of F, and where
+    either channel's det is nonpositive.  F(ff) = I, so a
+    nonpositive channel determinant at f proves a conjugate point in
+    (f, ff], and the largest such record f_k brackets one in
+    (f_k, f_k+1].  P is solved from F P = S U11 at f0 alone, with the
+    12x12 F of _factor.  In the package game._solve is the one caller, and
+    it hands over the scenario's whole grid table."""
     what = "factor U22 - S U12"
     last_nonpos = None
     for start in range(0, t.size, _CHUNK):
         chunk = t[start:start + _CHUNK]
-        factor = _factor(orbit, weights, *_u_blocks_arrays(t[-1], chunk))
-        kappa = _require_conditioned(factor, chunk["f"], SingularFactor, what)
-        if start == 0:
-            factor_0 = factor[0].copy()
-        # every factor in the chunk is finite and nonsingular by now
-        nonpos = np.flatnonzero(np.logical_or(
-            *(np.linalg.slogdet(factor[:, c[:, None], c])[0] < 0 for c in _CHANNELS)))
+        kappa, signs = _channel_check(_channel_factors(orbit, weights, t[-1], chunk))
+        _raise_if_singular(kappa, chunk["f"], SingularFactor, what)
+        # every block in the chunk is finite and nonsingular by now
+        nonpos = np.flatnonzero(np.logical_or(*(sign < 0 for sign in signs)))
         if nonpos.size:
             j = nonpos[-1]
             last_nonpos = (start + j, float(kappa[j]))
@@ -369,5 +455,7 @@ def _riccati_p_arrays(orbit, weights, t):
         fs = t["f"]
         raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
                              f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
-    s = np.diag(weights.s_block)
-    return np.linalg.solve(factor_0, s[:, None] * np.kron(np.eye(2), omega11(t[-1], t[0])))
+    factor_0 = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[0]))
+    u11 = np.zeros((12, 12))
+    u11[:6, :6] = u11[6:, 6:] = omega11(t[-1], t[0])
+    return np.linalg.solve(factor_0, np.diag(weights.s_block)[:, None] * u11)

@@ -429,8 +429,8 @@ class TestPropagateAnalytical:
     ], ids=["propagate_analytical", "scan_quadratics", "propagate_analytical-1001",
             "scan_quadratics-1001"])
     def test_peak_memory_per_node(self, run, ff, bound):
-        # the factor check holds its 12x12 and 6x6 stacks for one chunk
-        # only, and the flow builds one 6x6 stack, of C_hat differences, so
+        # the factor check holds its channel blocks for one chunk only,
+        # and the flow builds one 6x6 stack, of C_hat differences, so
         # the peak is the tables and the outputs, on the 1001-node
         # reference grid too.  The measured run checks the factor: it does
         # not read the P(f0) that the first run left behind

@@ -23,7 +23,10 @@ from tadgame.orbital_core import ReferenceOrbit, phi, rho, true_to_eccentric
 from tadgame.riccati import (
     SingularFactor,
     WeightSet,
+    _channel_check,
+    _channel_factors,
     _coupling,
+    _det_cofactors4,
     _factor,
     _require_conditioned,
     _tables,
@@ -257,6 +260,60 @@ class TestSingularityPolicy:
         single = _require_conditioned(stack[0], 0.0, SingularBlock, "block")
         assert single == 4.0
 
+    @pytest.mark.parametrize("bad", ["nan", "zero"])
+    @pytest.mark.parametrize("channel", [0, 1], ids=["in_plane", "out_of_plane"])
+    def test_bad_channel_block_in_factor_check(self, monkeypatch, channel, bad):
+        # a NaN entry or an all-zero block in one channel, at two nodes in
+        # two chunks: the check reports cond = inf at the first of them
+        cfg = reference_config()
+        nodes = cfg.grid[[3, riccati._CHUNK + 5]]
+        build = riccati._channel_factors
+
+        def spoiled(orbit, weights, t2, t1):
+            blocks = build(orbit, weights, t2, t1)
+            at = np.isin(t1["f"], nodes)
+            if bad == "nan":
+                blocks[channel][at, 1, 0] = math.nan
+            else:
+                blocks[channel][at] = 0.0
+            return blocks
+
+        monkeypatch.setattr(riccati, "_channel_factors", spoiled)
+        with pytest.raises(SingularFactor, match="numerically singular at f=") as info:
+            propagate_analytical(cfg)
+        assert info.value.f == nodes[0]
+        assert info.value.cond == math.inf
+
+
+class TestChannelCheck:
+    # the check builds F per channel, an 8x8 in-plane and a 4x4
+    # out-of-plane block; the 12x12 factor is the reference it must match
+    CHANNELS = (np.array([0, 1, 3, 4, 6, 7, 9, 10]), np.array([2, 5, 8, 11]))
+
+    @pytest.mark.parametrize("e", [0.0, 0.3, 0.8])
+    def test_matches_the_12x12_factor(self, e):
+        cfg = reference_config(orbit=orbit_with(e))
+        orb, w = cfg.orbit, cfg.weights
+        t = _tables(orb, cfg.grid)
+        factor = _factor(orb, w, *_u_blocks_arrays(t[-1], t))
+        off = np.ones((12, 12), bool)
+        for c in self.CHANNELS:
+            off[np.ix_(c, c)] = False
+        assert np.all(factor[:, off] == 0.0)
+        kappa, signs = _channel_check(_channel_factors(orb, w, t[-1], t))
+        assert np.allclose(kappa, np.linalg.cond(factor, 1), rtol=1e-9, atol=0.0)
+        for sign, c in zip(signs, self.CHANNELS):
+            assert np.array_equal(sign, np.linalg.slogdet(factor[:, c[:, None], c])[0])
+        assert np.array_equal(signs[0] * signs[1], np.linalg.slogdet(factor)[0])
+
+    def test_cofactors_4x4(self):
+        rng = np.random.default_rng(83)
+        a = rng.standard_normal((50, 4, 4))
+        det, cof = _det_cofactors4(a)
+        assert np.allclose(det, np.linalg.det(a), rtol=1e-12, atol=0.0)
+        inv = np.swapaxes(cof, -1, -2) / det[:, None, None]
+        assert np.allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+
 
 class TestFeedbackGain:
     def test_terminal_exactness(self):
@@ -352,26 +409,36 @@ class TestFeedbackGain:
 
     def test_two_negative_channels_are_a_conjugate_point(self, monkeypatch):
         # F has no entries between the in-plane and out-of-plane channels,
-        # so flipping one row of each leaves kappa_1 and the sign of det F
-        # as they were, while each channel's det turns negative.  Only
-        # nodes before ff flip, as the bracket reads the next node
+        # so flipping one row of each channel block leaves kappa_1 and the
+        # sign of det F as they were, while each channel's det turns
+        # negative.  Only nodes before ff flip, as the bracket reads the
+        # next node
         cfg = reference_config()
-        flip = cfg.grid <= 3.0
-        factor = riccati._factor
+        build = riccati._channel_factors
 
-        def flipped(orbit, weights, o22, c1):
-            out = factor(orbit, weights, o22, c1)
-            out[flip, 0] *= -1.0
-            out[flip, 2] *= -1.0
-            return out
+        def flipped(orbit, weights, t2, t1):
+            blocks = build(orbit, weights, t2, t1)
+            for block in blocks:
+                block[t1["f"] <= 3.0, 0] *= -1.0
+            return blocks
 
-        monkeypatch.setattr(riccati, "_CHUNK", cfg.grid.size)
-        monkeypatch.setattr(riccati, "_factor", flipped)
+        monkeypatch.setattr(riccati, "_channel_factors", flipped)
         with pytest.raises(SingularFactor, match=r"det <= 0 at f=2\.99707939: "
                            r"conjugate point in \(2\.99707939, 3\.00336258\]") as info:
             propagate_analytical(cfg)
-        assert info.value.f == cfg.grid[np.flatnonzero(flip)[-1]]
+        assert info.value.f == cfg.grid[np.flatnonzero(cfg.grid <= 3.0)[-1]]
         assert info.value.cond <= 1e14
+
+    @pytest.mark.parametrize("e", [0.1, 0.8])
+    def test_p_is_the_12x12_solve_at_f0(self, e):
+        # the check reads the channel blocks alone; P(f0) is solved with the
+        # 12x12 factor at f0, as F P = S (I2 x Omega11)
+        orb = orbit_with(e)
+        t = _tables(orb, reference_config().grid)
+        factor = _factor(orb, WEIGHTS, *_u_blocks_arrays(t[-1], t[0]))
+        rhs = np.diag(WEIGHTS.s_block)[:, None] * np.kron(np.eye(2), riccati.omega11(t[-1], t[0]))
+        assert np.array_equal(riccati._riccati_p_arrays(orb, WEIGHTS, t),
+                              np.linalg.solve(factor, rhs))
 
     def test_omega11_once_per_check(self, monkeypatch):
         # P(f0) reads Omega11 at f0 alone, so the check forms it once
