@@ -8,12 +8,15 @@ symplectic form (orbital_core), so every transition block of the coupled
 state/costate system is a 6x6 product of table records and the constants J
 and K (U11 = I2 x Omega11, U12 = M x C1, U22 = I2 x Omega22; U21 vanishes
 because the costates evolve autonomously), and the Riccati solution P(f) is
-F^-1 S U11 with the factor F = U22 - S U12.  F is block-diagonal by channel,
-an 8x8 in-plane and a 4x4 out-of-plane block, so the check builds the two
-blocks from their own rows of the table records and tests them at every
-record of the grid table under one singularity policy; the 12x12 F is
-formed and solved at f0 only.  The package reads P(f0) through game._solve
-alone, so that check runs wherever P does.
+F^-1 S U11 with the factor F = U22 - S U12.  The 12x12 F is solved with at
+f0 only, where its condition number is checked.  On the rest of the grid the
+check works in the ff frame: C1 = W Omega22 with
+W = phi(ff) (C_hat(ff) - C_hat(f)) phi(ff)^T, so F = (I - S (M x W))
+(I2 x Omega22), and det Omega22 = 1 gives det F = det(I - S (M x W)).  That
+factor is block-diagonal by channel, an 8x8 in-plane and a 4x4
+out-of-plane block, and the check reads the sign of each block's det at
+every record of the grid table.  The package reads P(f0) through
+game._solve alone, so that check runs wherever P does.
 """
 
 import math
@@ -39,10 +42,11 @@ class _Singular(RuntimeError):
 
 
 class SingularFactor(_Singular):
-    """The factor F that P is solved with is numerically singular at a
-    checked anomaly (kappa_1 of F, from its two channel blocks), or the
-    determinant of one of its channels shows a conjugate point before the
-    horizon ends."""
+    """The factor F that P is solved with is numerically singular at f0
+    (kappa_1 of the 12x12 F), a channel block of the factor check is not
+    finite or exactly singular at a grid record (cond = inf), or a channel
+    determinant shows a conjugate point before the horizon ends (cond is
+    kappa_1 of the 12x12 F at the record that brackets it)."""
 
 
 def _raise_if_singular(kappa, f, error, what):
@@ -344,85 +348,24 @@ def _factor(orbit, weights, o22, c1, rows=np.arange(6)):
 _CHANNELS = ((np.array([0, 1, 3, 4]), slice(0, 4)), (np.array([2, 5]), slice(4, 6)))
 
 
-def _channel_factors(orbit, weights, t2, t1):
-    """The two diagonal blocks of the factor F from f1 to f2 (see _factor),
-    in-plane then out-of-plane, from the table records at f2 and f1
-    (broadcast): each is built from its channel's rows of phi and C_hat
-    alone, with Omega22 exactly I where f2 = f1.  F has no other nonzero
-    entries."""
+def _channel_factors(orbit, weights, tf, t):
+    """The two channel blocks of G = I - S (M x W), in-plane then
+    out-of-plane, at the table records t (any shape) for the horizon ending
+    at the record tf, with W(f) = phi(ff) (C_hat(ff) - C_hat(f)) phi(ff)^T
+    on the channel's rows.  C1 = W Omega22, so F = G (I2 x Omega22) channel
+    by channel; det Omega22 = 1, so det F_c = det G_c.  W needs the one
+    phi(ff) and no per-record product, and W(ff) = 0 makes G(ff) = I."""
     blocks = []
     for rows, consts in _CHANNELS:
-        phi2 = t2["phi"][..., rows, consts]
-        phi1_t = np.swapaxes(t1["phi"][..., rows, consts], -1, -2)
-        o22 = -(_J[rows[:, None], rows] @ phi2 @ _K[consts, consts]) @ phi1_t
-        c1 = phi2 @ (t2["chat"][..., consts, consts] - t1["chat"][..., consts, consts]) @ phi1_t
-        blocks.append(_factor(orbit, weights, _identity_at_equal(o22, t2, t1), c1, rows))
+        phi_f = tf["phi"][rows, consts]
+        w = phi_f @ (tf["chat"][consts, consts] - t["chat"][..., consts, consts]) @ phi_f.T
+        blocks.append(_factor(orbit, weights, np.eye(rows.size), w, rows))
     return blocks
 
 
-# the column pairs of the 2x2 minors of a 4x4 matrix
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _cofactor_tables():
-    """Index and sign tables of the 16 cofactors of a 4x4 matrix A, three
-    terms each.  Cofactor (c, r) expands the 3x3 minor without row c and
-    column r along row o = c ^ 1, the other row of c's pair (0, 1) or
-    (2, 3): the terms are A[o, k], k != r, times the 2x2 minor of the other
-    pair of rows on the two columns left, with the sign (-1)^(c + r + p),
-    p the place of k among the three columns."""
-    entry, minor, sign = np.empty((16, 3), int), np.empty((16, 3), int), np.empty((16, 3))
-    for c, r in np.ndindex(4, 4):
-        cols = [k for k in range(4) if k != r]
-        for p, k in enumerate(cols):
-            entry[4 * c + r, p] = 4 * (c ^ 1) + k
-            minor[4 * c + r, p] = (6 if c < 2 else 0) + _PAIRS.index(
-                tuple(x for x in cols if x != k))
-            sign[4 * c + r, p] = (-1) ** (c + r + p)
-    return entry, minor, sign
-
-
-_COFACTORS = _cofactor_tables()
-
-
-def _det_cofactors4(a):
-    """det A and the cofactor matrix of a stack of 4x4 matrices A, from the
-    2x2 minors of its rows (0, 1) (the first six) and (2, 3): a few
-    elementwise products, no LAPACK call.  A^-1 = cofactors^T / det."""
-    i, j = np.array(_PAIRS).T
-    minors = np.concatenate([a[..., 0, i] * a[..., 1, j] - a[..., 0, j] * a[..., 1, i],
-                             a[..., 2, i] * a[..., 3, j] - a[..., 2, j] * a[..., 3, i]], axis=-1)
-    entry, minor, sign = _COFACTORS
-    flat = a.reshape(a.shape[:-2] + (16,))
-    cof = np.einsum("...kt,kt->...k", flat[..., entry] * minors[..., minor], sign).reshape(a.shape)
-    return np.sum(a[..., 0, :] * cof[..., 0, :], axis=-1), cof
-
-
-def _channel_check(blocks):
-    """kappa_1 of the factor F from its channel blocks (in-plane 8x8,
-    out-of-plane 4x4; see _channel_factors), and the sign of each block's
-    det.  F is block-diagonal, so ||F||_1 = max_c ||F_c||_1 and
-    ||F^-1||_1 = max_c ||F_c^-1||_1.  In plane F_c^-1 comes from
-    np.linalg.inv and the sign from slogdet; out of plane both come from
-    the cofactors, F_c^-1 being cofactors^T / det.  An exactly
-    singular block gives kappa_1 = inf and one with NaN entries nan, as
-    np.linalg.cond of F does; the signs there mean nothing."""
-    inplane, outplane = blocks
-    norm1 = lambda a: np.abs(a).sum(axis=-2).max(axis=-1)
-    det, cof = _det_cofactors4(outplane)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        try:
-            inv_in = norm1(np.linalg.inv(inplane))
-        except np.linalg.LinAlgError:  # exactly singular: cond gives inf there
-            inv_in = np.linalg.cond(inplane, 1) / norm1(inplane)
-        inv_out = norm1(np.swapaxes(cof, -1, -2)) / np.abs(det)
-        kappa = np.maximum(norm1(inplane), norm1(outplane)) * np.maximum(inv_in, inv_out)
-        return kappa, (np.linalg.slogdet(inplane)[0], np.sign(det))
-
-
-# grid nodes per pass of the factor check: the channel blocks and the
+# grid records per pass of the factor check: the channel blocks and the
 # values they are built from live for one chunk only, so a checked run
-# peaks at ~1.06 kB per node at every grid size, 1001 nodes included
+# peaks at ~1.05 kB per node at every grid size, 1001 nodes included
 _CHUNK = 256
 
 
@@ -430,32 +373,36 @@ def _riccati_p_arrays(orbit, weights, t):
     """P = F^-1 S U11 as a 12x12 array at the first of the table records t
     (a 1-D array in grid order), for the horizon ending at the last.
 
-    The factor F is checked at every record, one chunk at a time, on its
-    two channel blocks (_channel_factors, _channel_check): SingularFactor
-    is raised where _raise_if_singular raises on kappa_1 of F, and where
-    either channel's det is nonpositive.  F(ff) = I, so a
-    nonpositive channel determinant at f proves a conjugate point in
-    (f, ff], and the largest such record f_k brackets one in
-    (f_k, f_k+1].  P is solved from F P = S U11 at f0 alone, with the
-    12x12 F of _factor.  In the package game._solve is the one caller, and
-    it hands over the scenario's whole grid table."""
+    P is solved from F P = S U11 with the 12x12 F of _factor, formed at f0
+    alone; SingularFactor is raised where _require_conditioned raises on
+    it.  The grid check reads each channel's det F_c = det G_c at every
+    record, one chunk at a time, from one slogdet per channel block
+    (_channel_factors): a non-finite log|det| (NaN or inf entries, or an
+    exactly singular block) raises at the first such record with cond =
+    inf, and a negative sign at the last such record f_k.  G(ff) = I, so a
+    negative channel det at f proves a conjugate point in (f, ff], and f_k
+    brackets one in (f_k, f_k+1]; cond is kappa_1 of the 12x12 F at f_k.
+    In the package game._solve is the one caller, and it hands over the
+    scenario's whole grid table."""
     what = "factor U22 - S U12"
-    last_nonpos = None
+    fs = t["f"]
+    factor_0 = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[0]))
+    _require_conditioned(factor_0, fs[0], SingularFactor, what)
+    k = None
     for start in range(0, t.size, _CHUNK):
         chunk = t[start:start + _CHUNK]
-        kappa, signs = _channel_check(_channel_factors(orbit, weights, t[-1], chunk))
-        _raise_if_singular(kappa, chunk["f"], SingularFactor, what)
-        # every block in the chunk is finite and nonsingular by now
-        nonpos = np.flatnonzero(np.logical_or(*(sign < 0 for sign in signs)))
-        if nonpos.size:
-            j = nonpos[-1]
-            last_nonpos = (start + j, float(kappa[j]))
-    if last_nonpos is not None:
-        k, cond = last_nonpos
-        fs = t["f"]
+        with np.errstate(invalid="ignore"):  # a NaN in a block raises below
+            signs, logdets = zip(*map(np.linalg.slogdet,
+                                      _channel_factors(orbit, weights, t[-1], chunk)))
+        finite = np.all(np.isfinite(logdets), axis=0)
+        _raise_if_singular(np.where(finite, 0.0, np.inf), chunk["f"], SingularFactor, what)
+        neg = np.flatnonzero(np.minimum(*signs) < 0)
+        if neg.size:
+            k = start + neg[-1]
+    if k is not None:
+        cond = float(np.linalg.cond(_factor(orbit, weights, *_u_blocks_arrays(t[-1], t[k])), 1))
         raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
                              f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
-    factor_0 = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[0]))
     u11 = np.zeros((12, 12))
     u11[:6, :6] = u11[6:, 6:] = omega11(t[-1], t[0])
     return np.linalg.solve(factor_0, np.diag(weights.s_block)[:, None] * u11)

@@ -23,10 +23,8 @@ from tadgame.orbital_core import ReferenceOrbit, phi, rho, true_to_eccentric
 from tadgame.riccati import (
     SingularFactor,
     WeightSet,
-    _channel_check,
     _channel_factors,
     _coupling,
-    _det_cofactors4,
     _factor,
     _require_conditioned,
     _tables,
@@ -58,6 +56,14 @@ def v_matrices(orb, w, f2, f1):
     """The coupling blocks (V1, V2) = (U12[0:6, 6:12], U12[6:12, 6:12])."""
     u12 = dense_blocks(orb, w, f2, f1)[1]
     return u12[0:6, 6:12], u12[6:12, 6:12]
+
+
+def factor_cond(orb, w, grid, f):
+    """kappa_1 of the 12x12 factor at the node f of grid, for the horizon
+    ending at its last node: the cond a SingularFactor reports there."""
+    t = _tables(orb, grid)
+    k = np.flatnonzero(t["f"] == f)[0]
+    return np.linalg.cond(_factor(orb, w, *_u_blocks_arrays(t[-1], t[k])), 1)
 
 
 class TestWeightSet:
@@ -286,8 +292,11 @@ class TestSingularityPolicy:
 
 
 class TestChannelCheck:
-    # the check builds F per channel, an 8x8 in-plane and a 4x4
-    # out-of-plane block; the 12x12 factor is the reference it must match
+    # the check reads det F per channel from G = I - S (M x W) in the ff
+    # frame (an 8x8 in-plane and a 4x4 out-of-plane block); the channel
+    # blocks of the 12x12 factor are the reference it must match.  det F_c
+    # = det G_c in exact arithmetic; on the reference grid log|det| agrees
+    # to 2.8e-10 at e = 0.8 (|log|det|| up to 98) and to 7e-13 at e <= 0.3
     CHANNELS = (np.array([0, 1, 3, 4, 6, 7, 9, 10]), np.array([2, 5, 8, 11]))
 
     @pytest.mark.parametrize("e", [0.0, 0.3, 0.8])
@@ -300,19 +309,13 @@ class TestChannelCheck:
         for c in self.CHANNELS:
             off[np.ix_(c, c)] = False
         assert np.all(factor[:, off] == 0.0)
-        kappa, signs = _channel_check(_channel_factors(orb, w, t[-1], t))
-        assert np.allclose(kappa, np.linalg.cond(factor, 1), rtol=1e-9, atol=0.0)
-        for sign, c in zip(signs, self.CHANNELS):
-            assert np.array_equal(sign, np.linalg.slogdet(factor[:, c[:, None], c])[0])
-        assert np.array_equal(signs[0] * signs[1], np.linalg.slogdet(factor)[0])
-
-    def test_cofactors_4x4(self):
-        rng = np.random.default_rng(83)
-        a = rng.standard_normal((50, 4, 4))
-        det, cof = _det_cofactors4(a)
-        assert np.allclose(det, np.linalg.det(a), rtol=1e-12, atol=0.0)
-        inv = np.swapaxes(cof, -1, -2) / det[:, None, None]
-        assert np.allclose(inv, np.linalg.inv(a), rtol=1e-10, atol=1e-12)
+        for block, c in zip(_channel_factors(orb, w, t[-1], t), self.CHANNELS):
+            sign, logdet = np.linalg.slogdet(block)
+            want_sign, want_logdet = np.linalg.slogdet(factor[:, c[:, None], c])
+            assert np.array_equal(sign, want_sign)
+            assert np.allclose(logdet, want_logdet, rtol=0.0, atol=1e-9)
+            # W(ff) = 0 exactly, so the block is exactly I at ff
+            assert np.array_equal(block[-1], np.eye(c.size))
 
 
 class TestFeedbackGain:
@@ -363,7 +366,8 @@ class TestFeedbackGain:
     @pytest.mark.parametrize("chunk", [riccati._CHUNK, 10])
     def test_singular_factor_reported(self, monkeypatch, chunk):
         # a strongly-weighted defender drives the inverted factor singular;
-        # on the grid the first chunk raises at f0 whatever the chunk size
+        # kappa_1 of F(f0) is checked before the grid, so the error is at
+        # f0 whatever the chunk size
         w = WeightSet(r_a=5e9, r_d=1.0, s_ar=1.0, s_av=1.0, s_dar=100.0, s_dav=100.0)
         cfg = reference_config(weights=w)
         with pytest.raises(SingularFactor) as want:
@@ -379,6 +383,9 @@ class TestFeedbackGain:
             propagate_analytical(cfg)
         assert got.value.f == 0.0
         assert (got.value.cond, str(got.value)) == (want.value.cond, str(want.value))
+        # cond is kappa_1 of the 12x12 F at f0, the one matrix solved with
+        assert exc.cond == factor_cond(ORBIT, w, [0.0, 2.0 * math.pi], exc.f)
+        assert got.value.cond == factor_cond(cfg.orbit, w, cfg.grid, got.value.f)
 
     @pytest.mark.parametrize("chunk", [riccati._CHUNK, 10])
     def test_conjugate_point_between_nodes(self, monkeypatch, chunk):
@@ -398,6 +405,7 @@ class TestFeedbackGain:
         assert str(exc).endswith(f", {cfg.ff:.9g}]")
         assert cfg.ff - cfg.h_f <= exc.f < cfg.ff
         assert exc.cond <= 1e14
+        assert exc.cond == factor_cond(cfg.orbit, w, cfg.grid, exc.f)
         # independent oracle: the Riccati equation integrated backward from
         # ff escapes before it reaches the last grid node
         orb = cfg.orbit
@@ -407,11 +415,27 @@ class TestFeedbackGain:
                         method="Radau", rtol=1e-8, atol=1e-10)
         assert sol.status != 0 or np.abs(sol.y[:, -1]).max() > 1e6
 
+    def test_conjugate_point_past_ill_conditioned_interior(self):
+        # kappa_1 of the interior F passes 1e14 at f = 2.34 on this
+        # scenario, but F is not solved with there: the check reads the
+        # channel det signs, which name the interval where the Riccati
+        # solution escapes
+        w = WeightSet(r_a=6.84147e7, r_d=2.11959e10, s_ar=2030.9, s_av=0.0132988,
+                      s_dar=254.205, s_dav=0.0848358)
+        cfg = reference_config(orbit=orbit_with(0.42933127463046816), weights=w)
+        with pytest.raises(SingularFactor, match=r"conjugate point in "
+                           r"\(6\.27690212, 6\.28318531\]") as info:
+            propagate_analytical(cfg)
+        assert info.value.cond == factor_cond(cfg.orbit, w, cfg.grid, info.value.f)
+        # independent oracle: DOP853 from ff escapes inside the last
+        # interval, at ff - 1.3e-3
+        sol = backward_riccati(cfg.orbit, w, cfg.ff, cfg.ff - cfg.h_f)
+        assert sol.status == -1 and sol.t[-1] > cfg.ff - cfg.h_f
+
     def test_two_negative_channels_are_a_conjugate_point(self, monkeypatch):
         # F has no entries between the in-plane and out-of-plane channels,
-        # so flipping one row of each channel block leaves kappa_1 and the
-        # sign of det F as they were, while each channel's det turns
-        # negative.  Only nodes before ff flip, as the bracket reads the
+        # so flipping one row of each channel block leaves the sign of
+        # det F as it was, while each channel's det turns negative.  Only nodes before ff flip, as the bracket reads the
         # next node
         cfg = reference_config()
         build = riccati._channel_factors
