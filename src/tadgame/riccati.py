@@ -14,8 +14,8 @@ check works in the ff frame: C1 = W Omega22 with
 W = phi(ff) (C_hat(ff) - C_hat(f)) phi(ff)^T, so F = (I - S (M x W))
 (I2 x Omega22), and det Omega22 = 1 gives det F = det(I - S (M x W)).  That
 factor is block-diagonal by channel, an 8x8 in-plane and a 4x4
-out-of-plane block, and the check reads the sign of each block's det at
-every record of the grid table.  The package reads P(f0) through
+out-of-plane block, and the check reads the sign of each block's det
+record by record, from ff back to f0.  The package reads P(f0) through
 game._solve alone, so that check runs wherever P does.
 """
 
@@ -43,35 +43,24 @@ class _Singular(RuntimeError):
 
 class SingularFactor(_Singular):
     """The factor F that P is solved with is numerically singular at f0
-    (kappa_1 of the 12x12 F), a channel block of the factor check is not
-    finite or exactly singular at a grid record (cond = inf), or a channel
-    determinant shows a conjugate point before the horizon ends (cond is
-    kappa_1 of the 12x12 F at the record that brackets it)."""
+    (kappa_1 of the 12x12 F), or the factor check, sweeping back from ff,
+    meets a record f where a channel block's log|det| is not finite
+    (cond = inf) or a channel det is negative, a conjugate point in
+    (f, next record] (cond is kappa_1 of the 12x12 F at f)."""
 
 
-def _raise_if_singular(kappa, f, error, what):
-    """The one singularity policy on the condition numbers kappa_1 of
-    matrices built at the scalar or grid anomaly f: raise
-    error(message, f=, cond=) at the first anomaly where kappa_1 is not at
-    most _SINGULAR_COND, a nan (a matrix with NaN entries) reported as
-    inf."""
-    bad = ~(kappa <= _SINGULAR_COND)
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        f_bad = float(np.broadcast_to(np.asarray(f, dtype=float), np.shape(kappa)).ravel()[idx])
-        c_bad = float(np.nan_to_num(np.ravel(kappa)[idx], nan=np.inf, posinf=np.inf))
-        raise error(f"{what} is numerically singular at f={f_bad:.9g} "
-                    f"(condition number {c_bad:.3e})", f=f_bad, cond=c_bad)
-
-
-def _require_conditioned(mats, f, error, what):
-    """Condition number kappa_1 = ||A||_1 ||A^-1||_1 of a stack of square
-    matrices built at the scalar or grid anomaly f, checked by
-    _raise_if_singular: np.linalg.cond gives inf for an exactly singular
-    matrix and nan for one with NaN entries."""
-    kappa = np.linalg.cond(mats, 1)
-    _raise_if_singular(kappa, f, error, what)
-    return kappa
+def _require_conditioned(mat, f, error, what):
+    """Condition number kappa_1 = ||A||_1 ||A^-1||_1, as a float, of the
+    square matrix A built at the anomaly f: the one singularity policy.
+    Raises error(message, f=, cond=) unless kappa_1 is at most
+    _SINGULAR_COND.  np.linalg.cond gives inf for an exactly singular
+    matrix and nan for one with NaN entries, reported as inf."""
+    cond = float(np.linalg.cond(mat, 1))
+    if not cond <= _SINGULAR_COND:
+        cond = math.inf if math.isnan(cond) else cond
+        raise error(f"{what} is numerically singular at f={f:.9g} "
+                    f"(condition number {cond:.3e})", f=float(f), cond=cond)
+    return cond
 
 
 @dataclass(frozen=True)
@@ -374,35 +363,35 @@ def _riccati_p_arrays(orbit, weights, t):
     (a 1-D array in grid order), for the horizon ending at the last.
 
     P is solved from F P = S U11 with the 12x12 F of _factor, formed at f0
-    alone; SingularFactor is raised where _require_conditioned raises on
-    it.  The grid check reads each channel's det F_c = det G_c at every
-    record, one chunk at a time, from one slogdet per channel block
-    (_channel_factors): a non-finite log|det| (NaN or inf entries, or an
-    exactly singular block) raises at the first such record with cond =
-    inf, and a negative sign at the last such record f_k.  G(ff) = I, so a
-    negative channel det at f proves a conjugate point in (f, ff], and f_k
-    brackets one in (f_k, f_k+1]; cond is kappa_1 of the 12x12 F at f_k.
-    In the package game._solve is the one caller, and it hands over the
-    scenario's whole grid table."""
+    alone and passed by _require_conditioned first.  The grid check then
+    reads each channel's det F_c = det G_c (_channel_factors, one slogdet
+    per block) chunk by chunk from ff back to f0, the order in which the
+    Riccati solution is built from P(ff) = S, and raises SingularFactor at
+    the first failing record f_k from ff, reading no chunk past it: a
+    non-finite log|det| (NaN or inf entries, or an exactly singular block)
+    with cond = inf, or a negative sign with cond = kappa_1 of the 12x12 F
+    at f_k.  G(ff) = I and f_k+1 passed, so a negative sign brackets a
+    conjugate point in (f_k, f_k+1].  game._solve, the one caller in the
+    package, hands over the scenario's whole grid table."""
     what = "factor U22 - S U12"
     fs = t["f"]
     factor_0 = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[0]))
     _require_conditioned(factor_0, fs[0], SingularFactor, what)
-    k = None
-    for start in range(0, t.size, _CHUNK):
-        chunk = t[start:start + _CHUNK]
+    for stop in range(t.size, 0, -_CHUNK):
+        start = max(stop - _CHUNK, 0)
         with np.errstate(invalid="ignore"):  # a NaN in a block raises below
             signs, logdets = zip(*map(np.linalg.slogdet,
-                                      _channel_factors(orbit, weights, t[-1], chunk)))
+                                      _channel_factors(orbit, weights, t[-1], t[start:stop])))
         finite = np.all(np.isfinite(logdets), axis=0)
-        _raise_if_singular(np.where(finite, 0.0, np.inf), chunk["f"], SingularFactor, what)
-        neg = np.flatnonzero(np.minimum(*signs) < 0)
-        if neg.size:
-            k = start + neg[-1]
-    if k is not None:
-        cond = float(np.linalg.cond(_factor(orbit, weights, *_u_blocks_arrays(t[-1], t[k])), 1))
-        raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
-                             f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
+        bad = np.flatnonzero(~finite | (np.minimum(*signs) < 0))
+        if bad.size:
+            k = start + bad[-1]
+            if not finite[bad[-1]]:
+                raise SingularFactor(f"{what} is numerically singular at f={fs[k]:.9g} "
+                                     f"(condition number inf)", f=float(fs[k]), cond=math.inf)
+            cond = float(np.linalg.cond(_factor(orbit, weights, *_u_blocks_arrays(t[-1], t[k])), 1))
+            raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
+                                 f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
     u11 = np.zeros((12, 12))
     u11[:6, :6] = u11[6:, 6:] = omega11(t[-1], t[0])
     return np.linalg.solve(factor_0, np.diag(weights.s_block)[:, None] * u11)

@@ -391,7 +391,8 @@ class TestPropagateAnalytical:
         # the closed-form states are pointwise; refining the grid must not
         # move shared nodes, and the cost, the game value, does not move.
         # Nor may the chunk size move any bit: at 10, the reference grid and
-        # the two finer grids here end in a one-node chunk at ff
+        # the two finer grids here leave a one-node chunk at f0, the last
+        # one the sweep from ff reads
         base = reference_config(ff=np.pi / 4.0)
         configs = [reference_config(ff=np.pi / 4.0, h_f=base.h_f / div) for div in (1, 2, 4)]
         wants = [propagate_analytical(cfg) for cfg in configs]

@@ -233,44 +233,39 @@ class TestSingularityPolicy:
         # matrices, so the two condition numbers differ by at most 12x
         cfg = reference_config()
         t = _tables(ORBIT, cfg.grid)
-        factor = _factor(ORBIT, WEIGHTS, *_u_blocks_arrays(t[-1], t))
-        kappa1 = _require_conditioned(factor, cfg.grid, SingularFactor, "factor")
-        kappa2 = np.linalg.cond(factor)
-        assert np.all(kappa1 >= kappa2 / 12.0) and np.all(kappa1 <= 12.0 * kappa2)
+        for k in range(0, cfg.grid.size, 25):
+            factor = _factor(ORBIT, WEIGHTS, *_u_blocks_arrays(t[-1], t[k]))
+            kappa1 = _require_conditioned(factor, cfg.grid[k], SingularFactor, "factor")
+            kappa2 = np.linalg.cond(factor)
+            assert kappa2 / 12.0 <= kappa1 <= 12.0 * kappa2
 
     def test_zero_block_in_stack(self):
-        fs = np.array([0.5, 1.0, 1.5, 2.0])
-        stack = np.stack([np.eye(3) * (k + 1.0) for k in range(4)])
-        stack[2] = 0.0
-        with pytest.raises(SingularBlock, match="numerically singular at f=") as info:
-            _require_conditioned(stack, fs, SingularBlock, "block")
+        with pytest.raises(SingularBlock, match="numerically singular at f=1.5 ") as info:
+            _require_conditioned(np.zeros((3, 3)), 1.5, SingularBlock, "block")
         assert info.value.f == 1.5
         assert info.value.cond == math.inf
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_entry_in_stack(self, bad):
         # np.linalg.cond gives nan on a NaN entry; the policy reports inf
-        fs = np.array([0.5, 1.0, 1.5])
-        stack = np.stack([np.eye(3)] * 3)
-        stack[1, 0, 2] = bad
-        stack[2, 1, 1] = bad
-        with pytest.raises(SingularBlock, match="numerically singular at f=1 ") as info:
-            _require_conditioned(stack, fs, SingularBlock, "block")
+        mat = np.eye(3)
+        mat[0, 2] = bad
+        with pytest.raises(SingularBlock, match=r"numerically singular at f=1 "
+                           r"\(condition number inf\)") as info:
+            _require_conditioned(mat, 1.0, SingularBlock, "block")
         assert info.value.f == 1.0
         assert info.value.cond == math.inf
 
     def test_returns_kappa1(self):
-        stack = np.array([np.diag([2.0, 4.0, 1.0]), np.diag([-1.0, 1.0, 1.0])])
-        kappa = _require_conditioned(stack, np.array([0.0, 1.0]), SingularBlock, "block")
-        assert np.array_equal(kappa, [4.0, 1.0])
-        single = _require_conditioned(stack[0], 0.0, SingularBlock, "block")
-        assert single == 4.0
+        kappa = _require_conditioned(np.diag([2.0, 4.0, 1.0]), 0.0, SingularBlock, "block")
+        assert type(kappa) is float and kappa == 4.0
 
     @pytest.mark.parametrize("bad", ["nan", "zero"])
     @pytest.mark.parametrize("channel", [0, 1], ids=["in_plane", "out_of_plane"])
     def test_bad_channel_block_in_factor_check(self, monkeypatch, channel, bad):
         # a NaN entry or an all-zero block in one channel, at two nodes in
-        # two chunks: the check reports cond = inf at the first of them
+        # two chunks: the check sweeps back from ff, so it reports cond = inf
+        # at the one nearer ff
         cfg = reference_config()
         nodes = cfg.grid[[3, riccati._CHUNK + 5]]
         build = riccati._channel_factors
@@ -287,7 +282,7 @@ class TestSingularityPolicy:
         monkeypatch.setattr(riccati, "_channel_factors", spoiled)
         with pytest.raises(SingularFactor, match="numerically singular at f=") as info:
             propagate_analytical(cfg)
-        assert info.value.f == nodes[0]
+        assert info.value.f == nodes[1]
         assert info.value.cond == math.inf
 
 
@@ -391,8 +386,8 @@ class TestFeedbackGain:
     def test_conjugate_point_between_nodes(self, monkeypatch, chunk):
         # det F changes sign inside the last grid interval while kappa_1
         # stays below the threshold at every node.  At a chunk size of 10,
-        # node 999 closes a chunk and ff sits alone in the last one, and the
-        # error must not change
+        # the sweep from ff reads node 999 in its first chunk, and the error
+        # must not change
         w = WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0, s_dar=1000.0, s_dav=1000.0)
         cfg = reference_config(weights=w)
         with pytest.raises(SingularFactor, match="conjugate point") as want:
@@ -452,6 +447,46 @@ class TestFeedbackGain:
             propagate_analytical(cfg)
         assert info.value.f == cfg.grid[np.flatnonzero(cfg.grid <= 3.0)[-1]]
         assert info.value.cond <= 1e14
+
+    def test_failure_nearest_ff_wins(self, monkeypatch):
+        # a NaN in the in-plane block at node 3 and both channels flipped
+        # for f <= 3.0: the Riccati solution is built back from ff, so the
+        # conjugate point nearest ff is the one reported, not the NaN node
+        cfg = reference_config()
+        build = riccati._channel_factors
+
+        def spoiled(orbit, weights, t2, t1):
+            blocks = build(orbit, weights, t2, t1)
+            for block in blocks:
+                block[t1["f"] <= 3.0, 0] *= -1.0
+            blocks[0][t1["f"] == cfg.grid[3], 1, 0] = math.nan
+            return blocks
+
+        monkeypatch.setattr(riccati, "_channel_factors", spoiled)
+        with pytest.raises(SingularFactor, match=r"det <= 0 at f=2\.99707939: ") as info:
+            propagate_analytical(cfg)
+        assert info.value.cond <= 1e14
+
+    def test_sweep_stops_at_first_failure_from_ff(self, monkeypatch):
+        # the conjugate point sits in the last grid interval, so the sweep
+        # from ff raises on its first chunk and builds no other
+        w = WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0, s_dar=1000.0, s_dav=1000.0)
+        cfg = reference_config(weights=w)
+        with pytest.raises(SingularFactor, match="conjugate point") as want:
+            propagate_analytical(cfg)
+        calls = []
+        build = riccati._channel_factors
+
+        def counted(orbit, weights, t2, t1):
+            calls.append(t1.size)
+            return build(orbit, weights, t2, t1)
+
+        monkeypatch.setattr(riccati, "_channel_factors", counted)
+        monkeypatch.setattr(riccati, "_CHUNK", 10)
+        with pytest.raises(SingularFactor, match="conjugate point") as got:
+            propagate_analytical(cfg)
+        assert calls == [10]
+        assert (got.value.f, str(got.value)) == (want.value.f, str(want.value))
 
     @pytest.mark.parametrize("e", [0.1, 0.8])
     def test_p_is_the_12x12_solve_at_f0(self, e):
