@@ -151,8 +151,10 @@ def _solve(config, z0, f=None):
     (t, P(f0), the joint states from _flow at t, kappa).
 
     P(f0) comes from the factor check on the whole grid table, the one
-    place that decides where the factor is checked (at every node, see
-    _riccati_p_arrays).  It depends on the orbit, the weights and the grid,
+    place that decides where the factor is checked: at f0 by kappa_1, and
+    at every node when r_d > r_a.  r_d <= r_a proves det F >= 1 on
+    [f0, ff] (_riccati_p_arrays), so such a scenario reads no grid chunk
+    and raises only at f0.  It depends on the orbit, the weights and the grid,
     not on the start, so the last one that passed is kept, read-only, with
     a copy of the f0 record: a new start in the same scenario reads it and
     builds no grid table when f is given.  The record holds no table and

@@ -14,9 +14,11 @@ check works in the ff frame: C1 = W Omega22 with
 W = phi(ff) (C_hat(ff) - C_hat(f)) phi(ff)^T, so F = (I - S (M x W))
 (I2 x Omega22), and det Omega22 = 1 gives det F = det(I - S (M x W)).  That
 factor is block-diagonal by channel, an 8x8 in-plane and a 4x4
-out-of-plane block, and the check reads the sign of each block's det
-record by record, from ff back to f0.  The package reads P(f0) through
-game._solve alone, so that check runs wherever P does.
+out-of-plane block.  When r_d <= r_a, each block's det is >= 1 on all of
+[f0, ff] (the proof is in _riccati_p_arrays), so no conjugate point exists
+and the check is the kappa_1 gate at f0 alone.  Otherwise it reads the sign
+of each block's det record by record, from ff back to f0.  The package
+reads P(f0) through game._solve alone, so that check runs wherever P does.
 """
 
 import math
@@ -43,10 +45,12 @@ class _Singular(RuntimeError):
 
 class SingularFactor(_Singular):
     """The factor F that P is solved with is numerically singular at f0
-    (kappa_1 of the 12x12 F), or the factor check, sweeping back from ff,
-    meets a record f where a channel block's log|det| is not finite
-    (cond = inf) or a channel det is negative, a conjugate point in
-    (f, next record] (cond is kappa_1 of the 12x12 F at f)."""
+    (kappa_1 of the 12x12 F), or, when r_d > r_a, the factor check,
+    sweeping back from ff, meets a record f where a channel block's
+    log|det| is not finite (cond = inf) or a channel det is negative, a
+    conjugate point in (f, next record] (cond is kappa_1 of the 12x12 F at
+    f).  r_d <= r_a proves det F >= 1 on [f0, ff] (_riccati_p_arrays), so
+    such a scenario raises at f0 alone."""
 
 
 def _require_conditioned(mat, f, error, what):
@@ -363,35 +367,54 @@ def _riccati_p_arrays(orbit, weights, t):
     (a 1-D array in grid order), for the horizon ending at the last.
 
     P is solved from F P = S U11 with the 12x12 F of _factor, formed at f0
-    alone and passed by _require_conditioned first.  The grid check then
-    reads each channel's det F_c = det G_c (_channel_factors, one slogdet
-    per block) chunk by chunk from ff back to f0, the order in which the
-    Riccati solution is built from P(ff) = S, and raises SingularFactor at
-    the first failing record f_k from ff, reading no chunk past it: a
-    non-finite log|det| (NaN or inf entries, or an exactly singular block)
-    with cond = inf, or a negative sign with cond = kappa_1 of the 12x12 F
-    at f_k.  G(ff) = I and f_k+1 passed, so a negative sign brackets a
-    conjugate point in (f_k, f_k+1].  game._solve, the one caller in the
-    package, hands over the scenario's whole grid table."""
+    alone and passed by _require_conditioned first.  When r_d <= r_a that is
+    the whole check: det F_c >= 1 on all of [f0, ff], between nodes too.
+    Per channel, G_c = I - Rho Sigma (M x W) with Rho = diag(I, -I),
+    Sigma = diag(S_a, S_d) >= 0 and W >= 0 for f <= ff (a Gramian:
+    dC_hat/df = phi^-1 B B^T phi^-T / rho^6).  With a = 1/r_a, d = 1/r_d and
+    k rows per player, Sylvester's identity gives det G_c = (-1)^k det H
+    for the symmetric H = Rho - Sigma^1/2 (M x W) Sigma^1/2, whose block
+    H11 = I + (a/n^4) S_a^1/2 W S_a^1/2 is >= I.  Its Schur complement, with
+    C = S_a^1/2 W S_d^1/2, gives det G_c = det H11 det(I + ((d - a)/n^4)
+    S_d^1/2 W S_d^1/2 + (a/n^4)^2 C^T H11^-1 C), and d >= a makes both
+    factors >= 1: no conjugate point exists, and a grid check could only
+    raise on rounding.  So a scenario with r_d <= r_a raises SingularFactor
+    from the kappa_1 gate at f0 alone.  The proof is of existence, not of
+    float64 accuracy: where C_hat(ff) - C_hat(f) cancels (e = 0.8 over two
+    revolutions, say) the outputs can be inaccurate, and a grid sweep that
+    passes does not show that either.
+
+    Otherwise the grid check reads each channel's det F_c = det G_c
+    (_channel_factors, one slogdet per block) chunk by chunk from ff back
+    to f0, the order in which the Riccati solution is built from
+    P(ff) = S, and raises SingularFactor at the first failing record f_k
+    from ff, reading no chunk past it: a non-finite log|det| (NaN or inf
+    entries, or an exactly singular block) with cond = inf, or a negative
+    sign with cond = kappa_1 of the 12x12 F at f_k.  G(ff) = I and f_k+1
+    passed, so a negative sign brackets a conjugate point in
+    (f_k, f_k+1].  game._solve, the one caller in the package, hands over
+    the scenario's whole grid table."""
     what = "factor U22 - S U12"
     fs = t["f"]
     factor_0 = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[0]))
     _require_conditioned(factor_0, fs[0], SingularFactor, what)
-    for stop in range(t.size, 0, -_CHUNK):
-        start = max(stop - _CHUNK, 0)
-        with np.errstate(invalid="ignore"):  # a NaN in a block raises below
-            signs, logdets = zip(*map(np.linalg.slogdet,
-                                      _channel_factors(orbit, weights, t[-1], t[start:stop])))
-        finite = np.all(np.isfinite(logdets), axis=0)
-        bad = np.flatnonzero(~finite | (np.minimum(*signs) < 0))
-        if bad.size:
-            k = start + bad[-1]
-            if not finite[bad[-1]]:
-                raise SingularFactor(f"{what} is numerically singular at f={fs[k]:.9g} "
-                                     f"(condition number inf)", f=float(fs[k]), cond=math.inf)
-            cond = float(np.linalg.cond(_factor(orbit, weights, *_u_blocks_arrays(t[-1], t[k])), 1))
-            raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
-                                 f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]), cond=cond)
+    if weights.r_d > weights.r_a:  # not certified: sweep the grid
+        for stop in range(t.size, 0, -_CHUNK):
+            start = max(stop - _CHUNK, 0)
+            with np.errstate(invalid="ignore"):  # a NaN in a block raises below
+                signs, logdets = zip(*map(np.linalg.slogdet,
+                                          _channel_factors(orbit, weights, t[-1], t[start:stop])))
+            finite = np.all(np.isfinite(logdets), axis=0)
+            bad = np.flatnonzero(~finite | (np.minimum(*signs) < 0))
+            if bad.size:
+                k = start + bad[-1]
+                if not finite[bad[-1]]:
+                    raise SingularFactor(f"{what} is numerically singular at f={fs[k]:.9g} "
+                                         f"(condition number inf)", f=float(fs[k]), cond=math.inf)
+                factor_k = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[k]))
+                raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
+                                     f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]),
+                                     cond=float(np.linalg.cond(factor_k, 1)))
     u11 = np.zeros((12, 12))
     u11[:6, :6] = u11[6:, 6:] = omega11(t[-1], t[0])
     return np.linalg.solve(factor_0, np.diag(weights.s_block)[:, None] * u11)

@@ -183,6 +183,20 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("riccati.SingularFactor:") and "conjugate point" in err
 
+    @pytest.mark.parametrize("cmd", ["simulate", "wincheck"])
+    def test_certified_scenario_exits_0(self, tmp_path, capsys, cmd):
+        # D2 of tests/test_riccati.py at 990 steps over two revolutions: the
+        # float64 det F reads negative near ff, but r_d <= r_a proves that no
+        # conjugate point exists, so the factor check is the kappa_1 gate at
+        # f0 and both commands succeed
+        ff = 4.0 * math.pi
+        path = scenario_file(tmp_path, e="0.8", ff=repr(ff), h_f=repr(ff / 990),
+                             r_a="7.383e8", r_d="4.55e6", s_ar="19.78", s_av="2.184",
+                             s_dar="0.9168", s_dav="2645.0")
+        code, out, err = run([cmd, path], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+
     @pytest.mark.parametrize("argv", [
         ["wincheck", "SCENARIO"],
         ["ellipsoids", "SCENARIO", "--f-list", "1.0,6.2", "--out", "OUT"],

@@ -390,11 +390,13 @@ class TestPropagateAnalytical:
     def test_pointwise_grid_independence(self, monkeypatch, analytical_run, chunk):
         # the closed-form states are pointwise; refining the grid must not
         # move shared nodes, and the cost, the game value, does not move.
-        # Nor may the chunk size move any bit: at 10, the reference grid and
-        # the two finer grids here leave a one-node chunk at f0, the last
-        # one the sweep from ff reads
-        base = reference_config(ff=np.pi / 4.0)
-        configs = [reference_config(ff=np.pi / 4.0, h_f=base.h_f / div) for div in (1, 2, 4)]
+        # Nor may the chunk size move any bit: at 10, the two finer grids
+        # here leave a one-node chunk at f0, the last one the sweep from ff
+        # reads.  r_a and r_d are swapped here, as r_d <= r_a reads no chunk
+        w = replace(WEIGHTS, r_a=WEIGHTS.r_d, r_d=WEIGHTS.r_a)
+        base = reference_config(ff=np.pi / 4.0, weights=w)
+        configs = [reference_config(ff=np.pi / 4.0, weights=w, h_f=base.h_f / div)
+                   for div in (1, 2, 4)]
         wants = [propagate_analytical(cfg) for cfg in configs]
         monkeypatch.setattr(riccati, "_CHUNK", chunk)
         for cfg, want in [(reference_config(), analytical_run[0]), *zip(configs, wants)]:

@@ -35,6 +35,10 @@ from tadgame.winning import SingularBlock
 
 ORBIT = ReferenceOrbit(mu=398603.0, p=10000.0, e=0.1)
 WEIGHTS = WeightSet(r_a=5e9, r_d=3e9, s_ar=1.0, s_av=1.0, s_dar=0.001, s_dav=0.001)
+# the reference weights with r_a and r_d swapped: r_d > r_a, so the factor
+# check sweeps the grid (r_d <= r_a is certified and reads no grid chunk),
+# and the sweep passes at every node as it does on the reference grid
+UNCERTIFIED = WeightSet(r_a=3e9, r_d=5e9, s_ar=1.0, s_av=1.0, s_dar=0.001, s_dav=0.001)
 
 # index pairs that must vanish identically in the antiderivative matrix
 ZERO_PAIRS = [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)]
@@ -266,7 +270,7 @@ class TestSingularityPolicy:
         # a NaN entry or an all-zero block in one channel, at two nodes in
         # two chunks: the check sweeps back from ff, so it reports cond = inf
         # at the one nearer ff
-        cfg = reference_config()
+        cfg = reference_config(weights=UNCERTIFIED)
         nodes = cfg.grid[[3, riccati._CHUNK + 5]]
         build = riccati._channel_factors
 
@@ -311,6 +315,63 @@ class TestChannelCheck:
             assert np.allclose(logdet, want_logdet, rtol=0.0, atol=1e-9)
             # W(ff) = 0 exactly, so the block is exactly I at ff
             assert np.array_equal(block[-1], np.eye(c.size))
+
+
+class TestCertificate:
+    # r_d <= r_a proves det G_c >= 1 on [f0, ff] (_riccati_p_arrays), so the
+    # factor check builds no channel block there and raises only from the
+    # kappa_1 gate at f0; r_d > r_a sweeps the grid
+
+    @pytest.mark.parametrize("weights, chunks", [
+        (WEIGHTS, 0),
+        (WeightSet(r_a=5e9, r_d=5e9, s_ar=1.0, s_av=1.0, s_dar=0.001, s_dav=0.001), 0),
+        (UNCERTIFIED, 4),
+    ], ids=["r_d<r_a", "r_d=r_a", "r_d>r_a"])
+    def test_channel_blocks_only_when_uncertified(self, monkeypatch, weights, chunks):
+        calls = []
+        build = riccati._channel_factors
+
+        def counted(orbit, weights, t2, t1):
+            calls.append(t1.size)
+            return build(orbit, weights, t2, t1)
+
+        monkeypatch.setattr(riccati, "_channel_factors", counted)
+        propagate_analytical(reference_config(weights=weights))
+        assert len(calls) == chunks
+
+    def test_certified_channel_dets_at_least_one(self):
+        # the bound the certificate proves, read from the float64 blocks at
+        # every node of seeded certified scenarios with e <= 0.5, where
+        # C_hat(ff) - C_hat(f) does not cancel
+        rng = np.random.default_rng(28)
+        for _ in range(20):
+            orb = orbit_with(rng.uniform(0.0, 0.5))
+            revs = int(rng.integers(1, 4))
+            r_d, r_a = np.sort(10.0 ** rng.uniform(6.0, 11.0, 2))
+            w = WeightSet(r_a, r_d, *(10.0 ** rng.uniform(-3.0, 4.0, 4)))
+            t = _tables(orb, np.linspace(0.0, 2.0 * math.pi * revs, 1000 * revs + 1))
+            for block in _channel_factors(orb, w, t[-1], t):
+                sign, logdet = np.linalg.slogdet(block)
+                assert np.all(sign == 1.0) and logdet.min() >= -1e-12
+
+    @pytest.mark.parametrize("e, revs, weights", [
+        (0.7437, 1, WeightSet(r_a=1.8316e8, r_d=3.3780e7, s_ar=5345.7, s_av=0.60854,
+                              s_dar=7.7128, s_dav=7.3281)),
+        (0.5713, 3, WeightSet(r_a=2.7530e7, r_d=1.8928e7, s_ar=1171.8, s_av=231.04,
+                              s_dar=1.1306, s_dav=0.68957)),
+    ], ids=["e0.74-1rev", "e0.57-3rev"])
+    def test_rounding_raises_no_conjugate_point(self, e, revs, weights):
+        # sampler scenarios whose float64 channel det reads negative at a
+        # node near ff, so a grid sweep would raise: the certificate covers
+        # them, and the Riccati solution reaches f0 without escape
+        ff = 2.0 * math.pi * revs
+        cfg = reference_config(orbit=orbit_with(e), weights=weights, ff=ff, h_f=ff / (1000 * revs))
+        t = _tables(cfg.orbit, cfg.grid)
+        signs = [np.linalg.slogdet(b)[0] for b in _channel_factors(cfg.orbit, weights, t[-1], t)]
+        assert np.min(signs) < 0.0
+        propagate_analytical(cfg)
+        sol = backward_riccati(cfg.orbit, weights, ff, cfg.f0)
+        assert sol.status == 0 and sol.t[-1] == cfg.f0
 
 
 class TestFeedbackGain:
@@ -432,7 +493,7 @@ class TestFeedbackGain:
         # so flipping one row of each channel block leaves the sign of
         # det F as it was, while each channel's det turns negative.  Only nodes before ff flip, as the bracket reads the
         # next node
-        cfg = reference_config()
+        cfg = reference_config(weights=UNCERTIFIED)
         build = riccati._channel_factors
 
         def flipped(orbit, weights, t2, t1):
@@ -452,7 +513,7 @@ class TestFeedbackGain:
         # a NaN in the in-plane block at node 3 and both channels flipped
         # for f <= 3.0: the Riccati solution is built back from ff, so the
         # conjugate point nearest ff is the one reported, not the NaN node
-        cfg = reference_config()
+        cfg = reference_config(weights=UNCERTIFIED)
         build = riccati._channel_factors
 
         def spoiled(orbit, weights, t2, t1):
@@ -503,7 +564,7 @@ class TestFeedbackGain:
         # P(f0) reads Omega11 at f0 alone, so the check forms it once
         # however many chunks it runs through
         t = _tables(ORBIT, reference_config().grid)
-        want = riccati._riccati_p_arrays(ORBIT, WEIGHTS, t)
+        want = riccati._riccati_p_arrays(ORBIT, UNCERTIFIED, t)
         calls = []
         kernel = riccati.omega11
 
@@ -513,7 +574,7 @@ class TestFeedbackGain:
 
         monkeypatch.setattr(riccati, "omega11", counted)
         monkeypatch.setattr(riccati, "_CHUNK", 10)
-        assert np.array_equal(riccati._riccati_p_arrays(ORBIT, WEIGHTS, t), want)
+        assert np.array_equal(riccati._riccati_p_arrays(ORBIT, UNCERTIFIED, t), want)
         assert calls == [()]
 
     def test_solution_record(self):
@@ -531,8 +592,8 @@ def backward_riccati(orb, w, ff, f_end):
 
 
 class TestOpenFactorDefects:
-    # two scenarios where the float64 factor check on the grid gives the
-    # wrong verdict; each strict xfail turns into a failure once fixed
+    # two scenarios where the float64 factor check on the grid gave the
+    # wrong verdict: the strict xfail turns into a failure once fixed
     D1 = WeightSet(r_a=2.285e7, r_d=7.617e8, s_ar=68.03, s_av=0.0401,
                    s_dar=0.0960, s_dav=590.7)
     D2 = WeightSet(r_a=7.383e8, r_d=4.550e6, s_ar=19.78, s_av=2.184,
@@ -554,8 +615,9 @@ class TestOpenFactorDefects:
         assert sol.status == -1 and sol.t[-1] > ff - 1e-6
 
     # D2, e = 0.8, two revolutions: cancellation in C_hat(ff) - C_hat(f)
-    # flips the float64 det F near f = 12.5, so 39 of these 41 grids raise
-    @pytest.mark.xfail(strict=True, raises=SingularFactor, reason="ROADMAP item 5")
+    # flips the float64 det F near f = 12.5, where a grid sweep raised on 39
+    # of these 41 grids.  r_d <= r_a certifies D2, so no sweep runs; the
+    # cancellation itself (ROADMAP item 5) stays open where r_d > r_a
     def test_no_spurious_conjugate_point(self):
         ff = 4.0 * math.pi
         for steps in range(990, 1031):
