@@ -21,7 +21,7 @@ riccati_p = _riccati_p_arrays
 
 
 # most grid steps a scenario may ask for: memory grows with the grid (the
-# tables and the outputs take ~1.05 kB per node), so 10^6 steps need ~1.05 GB
+# tables and the outputs take ~1.03 kB per node), so 10^6 steps need ~1.03 GB
 _MAX_STEPS = 10**6
 
 
@@ -114,10 +114,18 @@ class Trajectory:
     cost: float
 
 
-def _flow(config, t, t0, p0, z0):
+def _kappa_map(t0, p0):
+    """(I2 x phi(f0))^T P(f0), the map from the joint start to the
+    constants kappa of _flow, from the f0 record t0 and P(f0)."""
+    rows = p0.reshape(2, 6, 12).swapaxes(0, 1).reshape(6, 24)
+    return (t0["phi"].T @ rows).reshape(6, 2, 12).swapaxes(0, 1).reshape(12, 12)
+
+
+def _flow(config, t, t0, kappa_map, z0):
     """Joint states, of shape t.shape + z0.shape, at the table records t
     (scalar or array) of the motions that start from the columns of z0 (12
-    or 12 x k) at the record t0 of f0, where P(f0) = p0, and kappa (6 x 2k).
+    or 12 x k) at the record t0 of f0, and kappa (6 x 2k), with kappa_map
+    from _kappa_map.
 
     In the constants frame only C_hat moves.  With the constants
     kappa_i = phi(f0)^T (P(f0) z0)_i, player i's state is
@@ -130,7 +138,12 @@ def _flow(config, t, t0, p0, z0):
     def cols(v):  # (12, ...) -> (6, 2k)
         return v.reshape(2, 6, -1).swapaxes(0, 1).reshape(6, -1)
 
-    kappa = t0["phi"].T @ cols(p0 @ z0)
+    # kappa in one product with the recorded (I2 x phi(f0))^T P(f0), not as
+    # phi(f0)^T (P(f0) z0), which rounds it farther from its exact value:
+    # over ten revolutions x_a(ff) is ~3e-6 of x_a0, and the transversality
+    # residual lambda(ff) - Sa x_a(ff), relative to Sa x_a(ff), magnifies
+    # that rounding
+    kappa = cols(kappa_map @ z0)
     drive = (_coupling(config.orbit, config.weights) @ kappa.reshape(6, 2, -1)).reshape(6, -1)
     consts = -_K @ t0["phi"].T @ _J @ cols(z0) + (t["chat"] - t0["chat"]) @ drive
     y = (t["phi"] @ consts).reshape(t.shape + (6, 2, -1)).swapaxes(-3, -2)
@@ -139,9 +152,9 @@ def _flow(config, t, t0, p0, z0):
     return y, kappa
 
 
-# the last P(f0) that passed the factor check, as one (key, f0 record, P)
-# tuple: a reader takes all three from one read, so it never pairs one
-# scenario's key with another's P
+# the last P(f0) that passed the factor check, as one (key, f0 record, P,
+# kappa map) tuple: a reader takes all four from one read, so it never
+# pairs one scenario's key with another's P
 _p0_record = None
 
 
@@ -165,15 +178,18 @@ def _solve(config, z0, f=None):
     key = (config.orbit, config.weights, config.f0, config.ff, config.n_steps)
     record = _p0_record
     if record is not None and record[0] == key:
-        _, t0, p0 = record
+        _, t0, p0, kappa_map = record
     else:
         checked = t if f is None else _tables(config.orbit, config.grid)
         p0 = _riccati_p_arrays(config.orbit, config.weights, checked)
         p0.flags.writeable = False
         t0 = checked[0].copy()
-        _p0_record = (key, t0, p0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kappa_map = _kappa_map(t0, p0)
+        kappa_map.flags.writeable = False
+        _p0_record = (key, t0, p0, kappa_map)
     with np.errstate(over="ignore", invalid="ignore"):
-        y, kappa = _flow(config, t, t0, p0, z0)
+        y, kappa = _flow(config, t, t0, kappa_map, z0)
     return t, p0, y, kappa
 
 

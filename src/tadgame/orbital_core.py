@@ -68,22 +68,32 @@ def rho(orbit, f):
     return 1.0 + orbit.e * np.cos(f)
 
 
+def _anomaly_terms(orbit, f):
+    """sin f, cos f and the continued eccentric anomaly E at the array f:
+    the values phi, C_hat and true_to_eccentric share."""
+    e = orbit.e
+    sf = np.sin(f)
+    cf = np.cos(f)
+    r = 1.0 + e * cf
+    wrapped = np.arctan2(np.sqrt(1.0 - e * e) * sf / r, (cf + e) / r)
+    return sf, cf, wrapped + f - np.arctan2(sf, cf)
+
+
 def true_to_eccentric(orbit, f):
     """Eccentric anomaly on the branch that keeps E - f inside (-pi, pi),
     so multi-revolution anomalies continue instead of wrapping."""
-    e = orbit.e
-    f = np.asarray(f, dtype=float)
-    r = 1.0 + e * np.cos(f)
-    wrapped = np.arctan2(np.sqrt(1.0 - e * e) * np.sin(f) / r, (np.cos(f) + e) / r)
-    out = wrapped + f - np.arctan2(np.sin(f), np.cos(f))
+    out = _anomaly_terms(orbit, np.asarray(f, dtype=float))[2]
     return out if out.ndim else float(out)
+
+
+def _secular(orbit, E, sin_e):
+    return (E - orbit.e * sin_e) / (1.0 - orbit.e * orbit.e) ** 1.5
 
 
 def secular_l(orbit, f):
     """Secular term L(f) = (E - e sin E) / (1 - e^2)^(3/2), continued in f."""
-    e = orbit.e
     E = true_to_eccentric(orbit, f)
-    return (E - e * np.sin(E)) / (1.0 - e * e) ** 1.5
+    return _secular(orbit, E, np.sin(E))
 
 
 def phi(orbit, f):
@@ -92,13 +102,16 @@ def phi(orbit, f):
     Columns solve y' = A(f) y in the tilde coordinates; the in-plane part
     mixes the two periodic solutions with the secular one, the out-of-plane
     part is a rotation."""
-    f = np.asarray(f, dtype=float)
+    sf, cf, E = _anomaly_terms(orbit, np.asarray(f, dtype=float))
+    return _phi(orbit, sf, cf, E, np.sin(E))
+
+
+def _phi(orbit, sf, cf, E, sin_e):
+    """phi from sin f, cos f, E and sin E (_anomaly_terms)."""
     e = orbit.e
     q = 1.0 - e * e
-    sf = np.sin(f)
-    cf = np.cos(f)
     r = 1.0 + e * cf
-    lf = secular_l(orbit, f)
+    lf = _secular(orbit, E, sin_e)
     p1 = r * sf
     p1p = r * cf - e * sf * sf
     s1 = -cf - 0.5 * e * cf * cf
@@ -111,7 +124,7 @@ def phi(orbit, f):
     # antiderivative of 2*p3 + 1
     s31 = e * sf * (2.0 + e * cf) / q - 3.0 * r * r * lf / q
     p3p = 2.0 * (p1p * s2 - p2p * s1)
-    out = np.zeros(f.shape + (6, 6))
+    out = np.zeros(sf.shape + (6, 6))
     out[..., 0, 0] = p1
     out[..., 0, 1] = p2
     out[..., 0, 2] = p3

@@ -2,8 +2,9 @@
 the feedback strategies of the pursuit game.
 
 The control-weighted Gramian of the relative dynamics has an antiderivative
-in eccentric anomaly, C_hat(E).  One table evaluation gives phi and C_hat at
-an anomaly array; phi^-1 = -K phi^T J follows from the plant's constant
+in eccentric anomaly, C_hat(E): 24 functions of E times a coefficient
+matrix that depends on e alone.  One table evaluation gives phi and C_hat
+at an anomaly array; phi^-1 = -K phi^T J follows from the plant's constant
 symplectic form (orbital_core), so every transition block of the coupled
 state/costate system is a 6x6 product of table records and the constants J
 and K (U11 = I2 x Omega11, U12 = M x C1, U22 = I2 x Omega22; U21 vanishes
@@ -26,7 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .orbital_core import _J, _K, phi, true_to_eccentric
+# phi and true_to_eccentric are not called here, but perfbench/spans.py
+# traces them under these names (tests/test_traced_names.py)
+from .orbital_core import _J, _K, _anomaly_terms, _phi, phi, true_to_eccentric
 
 # condition number kappa_1 past which a matrix the closed form solves with
 # counts as singular, in riccati and in winning alike
@@ -109,181 +112,260 @@ class WeightSet:
         )
 
 
+# C_hat is linear in 24 functions of the eccentric anomaly,
+# E^a sin^b E cos^m E with a <= 3, b <= 1 and m <= 5 once sin^2 E is
+# folded into 1 - cos^2 E, with coefficients that depend on e alone.  Their
+# labels (s = sin E, c = cos E), in the order _basis builds them:
+_BASIS = ("1", "s", "sc", "sc2", "c", "c2", "c3", "c4", "c5", "sc3", "sc4",
+          "E", "Es", "Esc", "Esc2", "Ec", "Ec2", "Ec3", "Ec4",
+          "E2", "E2s", "E2sc", "E2sc2", "E3")
+
+# the thirteen nonzero upper-triangle entries of C_hat; the other eight
+# vanish because the out-of-plane channel decouples.  A line "Cij den h"
+# opens entry (i, j), which is the sum of its terms over den q^(h/2),
+# q = 1 - e^2; each term line gives a basis label and the integer
+# coefficients of its polynomial in e.  The q power stays a prefactor:
+# expanded into the polynomials, 1/q^k cancels and loses digits at high e.
+# Text, not literals, because every CLI process compiles this module.
+_CHAT_TABLE = """
+             e^0    e^1    e^2    e^3    e^4    e^5    e^6    e^7    e^8    e^9
+C00 240 15
+    s          0  -5120      0  -9072      0  -8128      0   -128
+    sc      -360      0   2550      0   5610      0    735
+    sc2        0    560      0   -336      0   -704      0    -64
+    sc3        0      0   -300      0    -60      0   -150
+    sc4        0      0      0     48      0    -48      0    -48
+    E        600      0   5670      0   7530      0    735
+    Ec         0   2880      0      0      0   2880
+    Ec2        0      0  -2880      0  -4680
+    Ec3        0      0      0    960      0    960
+    Ec4        0      0      0      0      0      0    360
+    E2s        0      0      0  -2160      0   1440
+    E2sc       0      0      0      0  -1080
+    E2sc2      0      0      0      0      0    720
+    E3         0      0    720      0   -360
+C01 60 12
+    1          0      0    180      0    -45
+    c          0    300      0    240      0   -120
+    c2        90      0    -30      0    195
+    c3         0   -140      0   -100      0    -40
+    c4         0      0     75      0     45      0    -15
+    c5         0      0      0    -12
+    Es         0    360      0    420      0   -120
+    Esc        0      0   -360      0     90
+    Esc2       0      0      0    120      0    -60
+    E2         0      0   -270      0     45
+C02 60 12
+    1          0      0      0    135
+    c       -120      0    420      0    120
+    c2         0    210      0     45
+    c3         0      0   -180      0   -100
+    c4         0      0      0     75      0     30
+    c5         0      0      0      0    -12
+    Es         0      0    540      0    120
+    Esc        0      0      0   -270
+    Esc2       0      0      0      0     60
+    E2         0    -90      0   -135
+C03 240 15
+    s      -1920      0 -12640      0 -10432      0   2384      0    160
+    sc         0    360      0   8250      0    585      0   -660
+    sc2        0      0    880      0  -1376      0   -128      0     80
+    sc3        0      0      0   -540      0    -90      0    120
+    sc4        0      0      0      0     48      0    -96
+    E          0   4200      0  11610      0   -615      0   -660
+    Ec      1440      0   2880      0   1440
+    Ec2        0  -1440      0  -7560      0   1440
+    Ec3        0      0    480      0   1920      0   -480
+    Ec4        0      0      0      0      0    360
+    E2s        0      0  -2160      0   1440
+    E2sc       0      0      0  -1080
+    E2sc2      0      0      0      0    720
+    E3         0    720      0   -360
+C11 120 11
+    s          0  -1640      0   -264      0    520      0    -80
+    sc       180      0   1125      0   -540      0     60
+    sc2        0   -280      0   -312      0    200      0    -40
+    sc3        0      0    150
+    sc4        0      0      0    -24
+    E        300      0   1245      0   -660      0     60
+C12 120 11
+    s       -240      0  -1440      0    136      0     80
+    sc         0    420      0    585      0   -180
+    sc2        0      0   -360      0   -112      0     40
+    sc3        0      0      0    150
+    sc4        0      0      0      0    -24
+    E          0    660      0    465      0   -180
+C13 60 12
+    1          0    180      0    -45
+    c        480      0    -60
+    c2         0    -90      0    465      0   -120
+    c3         0      0   -220      0   -100      0     40
+    c4         0      0      0    135      0    -30
+    c5         0      0      0      0    -12
+    Es       360      0    420      0   -120
+    Esc        0   -360      0     90
+    Esc2       0      0    120      0    -60
+    E2         0   -270      0     45
+C22 120 11
+    s          0   -600      0   -800      0    -64
+    sc         0      0    600      0    225
+    sc2        0      0      0   -400      0    -32
+    sc3        0      0      0      0    150
+    sc4        0      0      0      0      0    -24
+    E        120      0    600      0    225
+C23 60 12
+    1          0      0    135
+    c          0    240      0    180
+    c2         0      0    345      0    -90
+    c3         0      0      0   -340      0     60
+    c4         0      0      0      0    120      0    -15
+    c5         0      0      0      0      0    -12
+    Es         0    540      0    120
+    Esc        0      0   -270
+    Esc2       0      0      0     60
+    E2       -90      0   -135
+C33 240 15
+    s          0 -11520      0 -18960      0   8240      0    -48      0   -160
+    sc         0      0   7140      0   4305      0  -3330      0    420
+    sc2        0      0      0    960      0  -2240      0    816      0    -80
+    sc3        0      0      0      0  -1290      0    900      0   -120
+    sc4        0      0      0      0      0      0      0    -48
+    E        960      0  16980      0  -1215      0  -2610      0    420
+    Ec         0   5760
+    Ec2        0      0 -10440      0   2880
+    Ec3        0      0      0   2880      0   -960
+    Ec4        0      0      0      0    360
+    E2s        0  -2160      0   1440
+    E2sc       0      0  -1080
+    E2sc2      0      0      0    720
+    E3       720      0   -360
+C44 120 9
+    s          0   -120      0    -16
+    sc       -60      0     45
+    sc2        0    120      0     -8
+    sc3        0      0    -90
+    sc4        0      0      0     24
+    E         60      0     45
+C45 20 10
+    c          0    -20
+    c2        10      0     30
+    c3         0    -20      0    -20
+    c4         0      0     15      0      5
+    c5         0      0      0     -4
+C55 120 11
+    s          0   -480      0   -904      0    -80
+    sc        60      0    495      0    270
+    sc2        0   -120      0   -272      0    -40
+    sc3        0      0     90      0     60
+    sc4        0      0      0    -24
+    E         60      0    615      0    270
+"""
+
+
+def _chat_polynomials():
+    """From _CHAT_TABLE: the (basis, entry, power of e) coefficients, each
+    entry's den and q power h/2, and the (entry, 36) 0/1 matrix that spreads
+    the entries over the 6x6.  A product with that matrix is exact, so a
+    symmetric pair reads one value and a structural zero stays zero."""
+    index = {label: b for b, label in enumerate(_BASIS)}
+    heads, terms, numbers = [], [], []
+    for line in _CHAT_TABLE.splitlines()[2:]:
+        label, *values = line.split()
+        if label[0] == "C":
+            heads.append((6 * int(label[1]) + int(label[2]), 6 * int(label[2]) + int(label[1]),
+                          float(values[0]), float(values[1]) / 2.0))
+        else:
+            terms.append((index[label], len(heads) - 1))
+            numbers += values + ["0"] * (10 - len(values))
+    poly = np.zeros((len(_BASIS), len(heads), 10))
+    poly[tuple(zip(*terms))] = np.array(numbers, dtype=float).reshape(-1, 10)
+    upper, lower, den, power = zip(*heads)
+    spread = np.zeros((len(heads), 36))
+    spread[range(len(heads)), upper] = spread[range(len(heads)), lower] = 1.0
+    return poly, np.array(den), np.array(power), spread
+
+
+_CHAT_POLY, _CHAT_DEN, _CHAT_Q_POWER, _CHAT_SPREAD = _chat_polynomials()
+
+
+def _chat_coefficients(e):
+    """The (24, 13) matrix that maps the basis to C_hat's nonzero entries."""
+    return (_CHAT_POLY @ e ** np.arange(10.0)) / (_CHAT_DEN * (1.0 - e * e) ** _CHAT_Q_POWER)
+
+
+def _basis(E, sin_e, cos_e):
+    """The 24 basis functions (_BASIS) at the 1-D E, one per row."""
+    b = np.empty((len(_BASIS), E.size))
+    b[0] = 1.0
+    b[1] = sin_e
+    b[4] = cos_e
+    for m in range(5, 9):
+        np.multiply(b[m - 1], cos_e, out=b[m])
+    np.multiply(b[4:6], sin_e, out=b[2:4])
+    np.multiply(b[6:8], sin_e, out=b[9:11])
+    np.multiply(b[0:8], E, out=b[11:19])
+    np.multiply(b[11:15], E, out=b[19:23])
+    np.multiply(b[19], E, out=b[23])
+    return b
+
+
+def _chat_into(out, coef, E, sin_e, cos_e):
+    """Write C_hat at the 1-D E into out (E.size x 6 x 6, each 6x6
+    contiguous, so the reshape is a view): the basis times the coefficients
+    coef of _chat_coefficients, spread over the 6x6."""
+    np.matmul(_basis(E, sin_e, cos_e).T @ coef, _CHAT_SPREAD, out=out.reshape(-1, 36))
+
+
+# anomalies per pass of a table or C_hat build: the temporaries (the 24 x
+# 1024 basis, phi's terms) live for one chunk, so past the output their
+# memory does not grow with the grid, and the products stay small: one
+# (10^4 x 24)(24 x 13) product took 7.0 ms under OpenBLAS's threads on a
+# shared 2-core host, 0.20 ms in chunks.  Of 256 to 2048, 1024 built the
+# tables fastest at N = 10^3 and within 10 % of the best at N = 10^4
+_TABLE_CHUNK = 1024
+
+
+def _chunks(n):
+    return (slice(start, start + _TABLE_CHUNK) for start in range(0, n, _TABLE_CHUNK))
+
+
 def c_hat(orbit, E):
     """Antiderivative in eccentric anomaly of the weighted Gramian integrand.
 
-    Only thirteen of the 21 upper-triangle entries are nonzero; the rest
-    vanish because the out-of-plane channel decouples.  E must be the
-    continued anomaly, the secular E and E^2 terms must not wrap."""
-    e = orbit.e
+    Symmetric, with thirteen nonzero upper-triangle entries (_CHAT_TABLE).
+    E must be the continued anomaly, the secular E, E^2 and E^3 terms must
+    not wrap."""
     E = np.asarray(E, dtype=float)
-    s = np.sin(E)
-    c = np.cos(E)
-
-    e2 = e * e
-    e3 = e2 * e
-    e4 = e3 * e
-    e5 = e4 * e
-    e6 = e5 * e
-    e7 = e6 * e
-    e8 = e7 * e
-    e9 = e8 * e
-    q = 1.0 - e2
-    sq = math.sqrt(q)
-    q4 = q * q * q * q
-    q5 = q4 * q
-    q6 = q5 * q
-    q7 = q6 * q
-    q9h = q4 * sq
-    q11h = q5 * sq
-    q15h = q7 * sq
-
-    c2 = c * c
-    c3 = c2 * c
-    c4 = c3 * c
-    c5 = c4 * c
-    s2 = s * s
-    s4 = s2 * s2
-    E2 = E * E
-    E3 = E2 * E
-
-    c11 = -1.5 / q15h * (
-        -(((-2.0 / 15.0) * e4 - (2.0 / 15.0) * e2 + 2.0 / 15.0) * s + e3 * E) * e3 * c4
-        - (8.0 / 3.0) * (((-5.0 / 32.0) * e4 - (1.0 / 16.0) * e2 - 5.0 / 16.0) * s
-                         + e * (1.0 + e2) * E) * e2 * c3
-        - 2.0 * e * ((7.0 / 9.0 - (4.0 / 45.0) * e6 + (E2 - 44.0 / 45.0) * e4
-                      - (7.0 / 15.0) * e2) * s - 6.5 * e3 * E - 4.0 * e * E) * c2
-        + ((1.0 - (49.0 / 24.0) * e6 + (3.0 * E2 - 187.0 / 12.0) * e4
-            - (85.0 / 12.0) * e2) * s - 8.0 * e * (1.0 + e4) * E) * c
-        + ((16.0 / 45.0) * e7 + (-4.0 * E2 + 1016.0 / 45.0) * e5
-           + (126.0 / 5.0 + 6.0 * E2) * e3 + (128.0 / 9.0) * e) * s
-        + (-5.0 / 3.0 - (49.0 / 24.0) * e6 + (E2 - 251.0 / 12.0) * e4
-           + (-63.0 / 4.0 - 2.0 * E2) * e2) * E
-    )
-    c12 = 1.0 / (60.0 * q6) * (
-        -12.0 * e3 * c5 + (-15.0 * e6 + 45.0 * e4 + 75.0 * e2) * c4
-        + (-40.0 * e5 - 100.0 * e3 - 140.0 * e) * c3
-        + (-60.0 * e3 * (e2 - 2.0) * E * s + 150.0 * e4 + 150.0 * e2 + 90.0) * c2
-        + ((90.0 * e4 - 360.0 * e2) * E * s - 120.0 * e5 + 240.0 * e3 + 300.0 * e) * c
-        + 45.0 * e * ((-e3 + 4.0 * e) * s2
-                      - (8.0 / 3.0) * (e4 - 3.5 * e2 - 3.0) * E * s
-                      + e * (e2 - 6.0) * E2)
-    )
-    c13 = 1.0 / (60.0 * q6) * (
-        -12.0 * e4 * c5 + (30.0 * e5 + 75.0 * e3) * c4
-        + (-100.0 * e4 - 180.0 * e2) * c3
-        + (60.0 * e4 * E * s + 180.0 * e3 + 210.0 * e) * c2
-        + (-270.0 * e3 * E * s + 120.0 * e4 + 420.0 * e2 - 120.0) * c
-        + 135.0 * e3 * s2 + (120.0 * e4 + 540.0 * e2) * E * s
-        - (135.0 * e3 + 90.0 * e) * E2
-    )
-    c14 = -1.5 / q15h * (
-        (((-2.0 / 15.0) * e4 + (4.0 / 15.0) * e6) * s - e5 * E) * c4
-        + (4.0 / 3.0) * e2 * ((-0.25 * e5 + (3.0 / 16.0) * e3 + (9.0 / 8.0) * e) * s
-                              + (e4 - 4.0 * e2 - 1.0) * E) * c3
-        - 2.0 * e * ((e7 / 9.0 - (8.0 / 45.0) * e5 + (E2 - 86.0 / 45.0) * e3
-                      + (11.0 / 9.0) * e) * s
-                     + 2.0 * (e4 - 5.25 * e2 - 1.0) * E) * c2
-        + (((11.0 / 6.0) * e7 - (13.0 / 8.0) * e5 + (3.0 * E2 - 275.0 / 12.0) * e3
-            - e) * s - 4.0 * (1.0 + e2) ** 2 * E) * c
-        + (16.0 / 3.0 - (4.0 / 9.0) * e8 - (298.0 / 45.0) * e6
-           + (1304.0 / 45.0 - 4.0 * E2) * e4 + (6.0 * E2 + 316.0 / 9.0) * e2) * s
-        + e * E * ((11.0 / 6.0) * e6 + (41.0 / 24.0) * e4 + (E2 - 129.0 / 4.0) * e2
-                   - 2.0 * E2 - 35.0 / 3.0)
-    )
-    c22 = 1.0 / (2.0 * q11h) * (
-        (-0.4 * e3 * c4 + 2.5 * e2 * c3
-         - (2.0 / 3.0) * e * (e6 - 5.0 * e4 + 7.8 * e2 + 7.0) * c2
-         + (e6 - 9.0 * e4 + 18.75 * e2 + 3.0) * c
-         - (4.0 / 3.0) * e7 + (26.0 / 3.0) * e5 - 4.4 * e3 - (82.0 / 3.0) * e) * s
-        + (e6 - 11.0 * e4 + 20.75 * e2 + 5.0) * E
-    )
-    c23 = -1.5 / q11h * (
-        ((2.0 / 15.0) * e4 * c4 - (5.0 / 6.0) * e3 * c3
-         + (-(2.0 / 9.0) * e6 + (28.0 / 45.0) * e4 + 2.0 * e2) * c2
-         + (e5 - 3.25 * e3 - (7.0 / 3.0) * e) * c
-         - (4.0 / 9.0) * e6 - (34.0 / 45.0) * e4 + 8.0 * e2 + 4.0 / 3.0) * s
-        + e * (e4 - (31.0 / 12.0) * e2 - 11.0 / 3.0) * E
-    )
-    c24 = 1.0 / (60.0 * q6) * (
-        -12.0 * e4 * c5 + (-30.0 * e5 + 135.0 * e3) * c4
-        + (40.0 * e6 - 100.0 * e4 - 220.0 * e2) * c3
-        + (-60.0 * e2 * (e2 - 2.0) * E * s - 120.0 * e5 + 465.0 * e3 - 90.0 * e) * c2
-        + ((90.0 * e3 - 360.0 * e) * E * s - 60.0 * e2 + 480.0) * c
-        - 120.0 * (e4 - 3.5 * e2 - 3.0) * E * s
-        + 45.0 * e * ((E2 - 1.0) * e2 - 6.0 * E2 + 4.0)
-    )
-    c33 = 1.0 / (120.0 * q11h) * (
-        (-24.0 * e5 * c4 + 150.0 * e4 * c3 + (-32.0 * e5 - 400.0 * e3) * c2
-         + (225.0 * e4 + 600.0 * e2) * c - 64.0 * e5 - 800.0 * e3 - 600.0 * e) * s
-        + (225.0 * e4 + 600.0 * e2 + 120.0) * E
-    )
-    c34 = 1.0 / (60.0 * q6) * (
-        -12.0 * e5 * c5 + (-15.0 * e6 + 120.0 * e4) * c4
-        + (60.0 * e5 - 340.0 * e3) * c3
-        + (60.0 * e3 * E * s - 90.0 * e4 + 345.0 * e2) * c2
-        + (-270.0 * e2 * E * s + 180.0 * e3 + 240.0 * e) * c
-        + (120.0 * e3 + 540.0 * e) * E * s + (-135.0 * E2 + 135.0) * e2 - 90.0 * E2
-    )
-    c44 = 1.0 / q15h * (
-        (3.0 - 1.5 * e2) * E3
-        + 3.0 * e * (e2 * c2 + 2.0 * e2 - 1.5 * e * c - 3.0) * E2 * s
-        + (1.75 * e8 - 10.875 * e6 - 4.0 * e5 * c3 + 1.5 * e4 * s4
-           + 15.0 * e4 * c2 - (105.0 / 16.0) * e4 + 12.0 * e3 * c3
-           - 43.5 * e2 * c2 + 70.75 * e2 + 24.0 * e * c + 4.0) * E
-        + (-(1.0 / 3.0) * e9 * c2 - (2.0 / 3.0) * e9 - 0.5 * e8 * c3 + 1.75 * e8 * c
-           - 0.2 * e7 * s4 + 3.0 * e7 * c2 + 3.75 * e6 * c3 - 13.875 * e6 * c
-           - (28.0 / 3.0) * e5 * c2 + (103.0 / 3.0) * e5 - 5.375 * e4 * c3
-           + (287.0 / 16.0) * e4 * c + 4.0 * e3 * c2 - 79.0 * e3
-           + 29.75 * e2 * c - 48.0 * e) * s
-    )
-    c55 = 0.375 / q9h * (
-        ((8.0 / 15.0) * e3 * c4 - 2.0 * e2 * c3
-         + (-(8.0 / 45.0) * e3 + (8.0 / 3.0) * e) * c2
-         + (e2 - 4.0 / 3.0) * c - (16.0 / 45.0) * e3 - (8.0 / 3.0) * e) * s
-        + (e2 + 4.0 / 3.0) * E
-    )
-    c56 = c / (4.0 * q5) * (
-        -0.8 * e3 * c4 + (e4 + 3.0 * e2) * c3 + (-4.0 * e3 - 4.0 * e) * c2
-        + (6.0 * e2 + 2.0) * c - 4.0 * e
-    )
-    c66 = 2.25 / q11h * (
-        (-(4.0 / 45.0) * e3 * c4 + ((2.0 / 9.0) * e4 + (1.0 / 3.0) * e2) * c3
-         + (-(4.0 / 27.0) * e5 - (136.0 / 135.0) * e3 - (4.0 / 9.0) * e) * c2
-         + (e4 + (11.0 / 6.0) * e2 + 2.0 / 9.0) * c
-         - (8.0 / 27.0) * e5 - (452.0 / 135.0) * e3 - (16.0 / 9.0) * e) * s
-        + (e4 + (41.0 / 18.0) * e2 + 2.0 / 9.0) * E
-    )
-
-    out = np.zeros(E.shape + (6, 6))
-    upper = {
-        (0, 0): c11, (0, 1): c12, (0, 2): c13, (0, 3): c14,
-        (1, 1): c22, (1, 2): c23, (1, 3): c24,
-        (2, 2): c33, (2, 3): c34,
-        (3, 3): c44,
-        (4, 4): c55, (4, 5): c56,
-        (5, 5): c66,
-    }
-    for (i, j), value in upper.items():
-        out[..., i, j] = value
-        if i != j:
-            out[..., j, i] = value
+    out = np.empty(E.shape + (6, 6))
+    coef = _chat_coefficients(orbit.e)
+    flat, flat_out = E.reshape(-1), out.reshape(-1, 6, 6)
+    for chunk in _chunks(flat.size):
+        x = flat[chunk]
+        _chat_into(flat_out[chunk], coef, x, np.sin(x), np.cos(x))
     return out
 
 
 # one table record per anomaly: f with phi(f) and C_hat(E(f)); phi^-1 is
-# not stored, as -K phi^T J gives it exactly
+# -K phi^T J (orbital_core), so no record needs it
 _TABLE = np.dtype([("f", float), ("phi", float, (6, 6)), ("chat", float, (6, 6))])
 
 
 def _tables(orbit, f):
     """Table records at the anomaly f (scalar or array): the values every
-    transition block is built from.  t[k] is the record of node k."""
+    transition block is built from.  t[k] is the record of node k.  Built
+    _TABLE_CHUNK records at a time, from one evaluation of sin f, cos f, E,
+    sin E and cos E per record, which phi and C_hat share."""
     f = np.asarray(f, dtype=float)
     t = np.empty(f.shape, _TABLE)
     t["f"] = f
-    t["phi"] = phi(orbit, f)
-    t["chat"] = c_hat(orbit, true_to_eccentric(orbit, f))
+    coef = _chat_coefficients(orbit.e)
+    flat = t.reshape(-1)
+    for chunk in _chunks(flat.size):
+        rec = flat[chunk]
+        sin_f, cos_f, E = _anomaly_terms(orbit, rec["f"])
+        sin_e = np.sin(E)
+        rec["phi"] = _phi(orbit, sin_f, cos_f, E, sin_e)
+        _chat_into(rec["chat"], coef, E, sin_e, np.cos(E))
     return t
 
 
@@ -358,7 +440,7 @@ def _channel_factors(orbit, weights, tf, t):
 
 # grid records per pass of the factor check: the channel blocks and the
 # values they are built from live for one chunk only, so a checked run
-# peaks at ~1.05 kB per node at every grid size, 1001 nodes included
+# peaks at ~1.03 kB per node at 1001 nodes and ~0.97 kB from 10^4 up
 _CHUNK = 256
 
 

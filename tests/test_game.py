@@ -197,7 +197,7 @@ class TestCheckedP0:
         assert calls == [cfg.grid.size, other.grid.size]
         # the record now holds the changed scenario's f0 record and P(f0)
         t = riccati._tables(other.orbit, other.grid)
-        _, t0, p0 = game._p0_record
+        _, t0, p0, _ = game._p0_record
         assert t0.tobytes() == t[0].tobytes()
         assert np.array_equal(p0, riccati._riccati_p_arrays(other.orbit, other.weights, t))
 
@@ -228,7 +228,7 @@ class TestCheckedP0:
     def test_record_holds_no_table(self):
         cfg = reference_config(**self.BASE)
         t, p0, _, _ = game._solve(cfg, np.eye(12))
-        key, t0, held = game._p0_record
+        key, t0, held, _ = game._p0_record
         assert key == (cfg.orbit, cfg.weights, cfg.f0, cfg.ff, cfg.n_steps)
         assert held is p0 and not p0.flags.writeable and p0.shape == (12, 12)
         # the f0 record is one 584-byte node, equal to the table's first
@@ -243,7 +243,7 @@ class TestCheckedP0:
         cfg = reference_config(**self.BASE)
         game._solve(cfg, np.eye(12), f)
         assert len(built) == (1 if f is None else 2)
-        _, t0, p0 = game._p0_record
+        _, t0, p0, _ = game._p0_record
         assert not any(np.shares_memory(a, tab) for a in (t0, p0) for tab in built)
 
     def test_recorded_ellipsoid_builds_no_grid_table(self, monkeypatch):
