@@ -21,7 +21,7 @@ riccati_p = _riccati_p_arrays
 
 
 # most grid steps a scenario may ask for: memory grows with the grid (the
-# tables and the outputs take ~1.03 kB per node), so 10^6 steps need ~1.03 GB
+# tables and the outputs take ~1 kB per node), so 10^6 steps need ~1 GB
 _MAX_STEPS = 10**6
 
 
@@ -165,14 +165,13 @@ def _solve(config, z0, f=None):
 
     P(f0) comes from the factor check on the whole grid table, the one
     place that decides where the factor is checked: at f0 by kappa_1, and
-    at every node when r_d > r_a.  r_d <= r_a proves det F >= 1 on
-    [f0, ff] (_riccati_p_arrays), so such a scenario reads no grid chunk
-    and raises only at f0.  It depends on the orbit, the weights and the grid,
-    not on the start, so the last one that passed is kept, read-only, with
-    a copy of the f0 record: a new start in the same scenario reads it and
-    builds no grid table when f is given.  The record holds no table and
-    no view of one; a SingularFactor leaves it as it was.  Values that
-    overflow come out as inf or nan, for the caller to reject."""
+    at every node only when r_d > r_a (proof in _riccati_p_arrays).  It
+    depends on the orbit, the weights and the grid, not on the start, so
+    the last one that passed is kept, read-only, with a copy of the f0
+    record: a new start in the same scenario reads it and builds no grid
+    table when f is given.  The record holds no table and no view of one;
+    a SingularFactor leaves it as it was.  Values that overflow come out
+    as inf or nan, for the caller to reject."""
     global _p0_record
     t = _tables(config.orbit, config.grid if f is None else f)
     key = (config.orbit, config.weights, config.f0, config.ff, config.n_steps)

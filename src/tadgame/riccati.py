@@ -15,11 +15,11 @@ check works in the ff frame: C1 = W Omega22 with
 W = phi(ff) (C_hat(ff) - C_hat(f)) phi(ff)^T, so F = (I - S (M x W))
 (I2 x Omega22), and det Omega22 = 1 gives det F = det(I - S (M x W)).  That
 factor is block-diagonal by channel, an 8x8 in-plane and a 4x4
-out-of-plane block.  When r_d <= r_a, each block's det is >= 1 on all of
-[f0, ff] (the proof is in _riccati_p_arrays), so no conjugate point exists
-and the check is the kappa_1 gate at f0 alone.  Otherwise it reads the sign
-of each block's det record by record, from ff back to f0.  The package
-reads P(f0) through game._solve alone, so that check runs wherever P does.
+out-of-plane block.  When r_d <= r_a the check is the kappa_1 gate at f0
+alone, because no conjugate point exists (proof in _riccati_p_arrays).
+Otherwise it reads the sign of each block's det record by record, from ff
+back to f0.  The package reads P(f0) through game._solve alone, so that
+check runs wherever P does.
 """
 
 import math
@@ -52,8 +52,7 @@ class SingularFactor(_Singular):
     sweeping back from ff, meets a record f where a channel block's
     log|det| is not finite (cond = inf) or a channel det is negative, a
     conjugate point in (f, next record] (cond is kappa_1 of the 12x12 F at
-    f).  r_d <= r_a proves det F >= 1 on [f0, ff] (_riccati_p_arrays), so
-    such a scenario raises at f0 alone."""
+    f).  With r_d <= r_a it raises at f0 alone (proof in _riccati_p_arrays)."""
 
 
 def _require_conditioned(mat, f, error, what):
@@ -316,33 +315,15 @@ def _chat_into(out, coef, E, sin_e, cos_e):
     np.matmul(_basis(E, sin_e, cos_e).T @ coef, _CHAT_SPREAD, out=out.reshape(-1, 36))
 
 
-# anomalies per pass of a table or C_hat build: the temporaries (the 24 x
-# 1024 basis, phi's terms) live for one chunk, so past the output their
-# memory does not grow with the grid, and the products stay small: one
+# anomalies per pass of a table build: the temporaries (the 24 x 1024
+# basis, phi's terms) live for one chunk, so past the output their memory
+# does not grow with the grid, and the products stay small: one
 # (10^4 x 24)(24 x 13) product took 7.0 ms under OpenBLAS's threads on a
-# shared 2-core host, 0.20 ms in chunks.  Of 256 to 2048, 1024 built the
-# tables fastest at N = 10^3 and within 10 % of the best at N = 10^4
+# shared 2-core host, 0.20 ms in chunks.  Larger than the factor check's
+# _CHUNK because per-chunk numpy calls dominate here: on the same host, a
+# 1001-record build took 0.37 ms at 1024 records per pass and 0.65 ms at
+# 256 (best of 300), and 1024 stays within 10 % of the best at N = 10^4
 _TABLE_CHUNK = 1024
-
-
-def _chunks(n):
-    return (slice(start, start + _TABLE_CHUNK) for start in range(0, n, _TABLE_CHUNK))
-
-
-def c_hat(orbit, E):
-    """Antiderivative in eccentric anomaly of the weighted Gramian integrand.
-
-    Symmetric, with thirteen nonzero upper-triangle entries (_CHAT_TABLE).
-    E must be the continued anomaly, the secular E, E^2 and E^3 terms must
-    not wrap."""
-    E = np.asarray(E, dtype=float)
-    out = np.empty(E.shape + (6, 6))
-    coef = _chat_coefficients(orbit.e)
-    flat, flat_out = E.reshape(-1), out.reshape(-1, 6, 6)
-    for chunk in _chunks(flat.size):
-        x = flat[chunk]
-        _chat_into(flat_out[chunk], coef, x, np.sin(x), np.cos(x))
-    return out
 
 
 # one table record per anomaly: f with phi(f) and C_hat(E(f)); phi^-1 is
@@ -360,8 +341,8 @@ def _tables(orbit, f):
     t["f"] = f
     coef = _chat_coefficients(orbit.e)
     flat = t.reshape(-1)
-    for chunk in _chunks(flat.size):
-        rec = flat[chunk]
+    for start in range(0, flat.size, _TABLE_CHUNK):
+        rec = flat[start:start + _TABLE_CHUNK]
         sin_f, cos_f, E = _anomaly_terms(orbit, rec["f"])
         sin_e = np.sin(E)
         rec["phi"] = _phi(orbit, sin_f, cos_f, E, sin_e)
@@ -438,9 +419,13 @@ def _channel_factors(orbit, weights, tf, t):
     return blocks
 
 
-# grid records per pass of the factor check: the channel blocks and the
-# values they are built from live for one chunk only, so a checked run
-# peaks at ~1.03 kB per node at 1001 nodes and ~0.97 kB from 10^4 up
+# grid records per pass of the factor check's grid sweep, which runs only
+# when r_d > r_a: the channel blocks and the values they are built from live
+# for one chunk only, about 1 kB per record, so such a run peaks at
+# 1.01 kB per node at 1001 nodes and 0.95 kB at 10^4 + 1, as a certified
+# run does.  Smaller than _TABLE_CHUNK because the blocks cost memory, not
+# numpy calls: at 1024 the 1001-node run peaked at 1.77 kB per node
+# (tracemalloc)
 _CHUNK = 256
 
 

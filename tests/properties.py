@@ -153,8 +153,9 @@ def phi_inv(orbit, f):
 
 def c_hat_closed_form(orbit, E):
     """Antiderivative in eccentric anomaly of the weighted Gramian integrand,
-    entry by entry in closed form: the oracle for riccati.c_hat, which
-    evaluates the same polynomials as one basis product.
+    entry by entry in closed form: the oracle for the C_hat records of
+    riccati._tables, which evaluate the same polynomials as one basis
+    product.
 
     Only thirteen of the 21 upper-triangle entries are nonzero; the rest
     vanish because the out-of-plane channel decouples.  E must be the

@@ -25,7 +25,7 @@ from tadgame.orbital_core import (
     rho,
     true_to_eccentric,
 )
-from tadgame.riccati import c_hat
+from tadgame.riccati import _tables
 from tadgame.winning import (
     OutcomeTag,
     TerminalSets,
@@ -118,8 +118,8 @@ def test_criterion_7(ref_config, analytical_run, numerical_run):
     for e in np.arange(0.0, 0.51, 0.1):
         orb = ReferenceOrbit(mu=orbit.mu, p=orbit.p, e=float(e))
         for f in rng.uniform(0.05, 2.0 * math.pi, 5):
-            hi = c_hat(orb, true_to_eccentric(orb, f + delta))
-            lo = c_hat(orb, true_to_eccentric(orb, f - delta))
+            hi = _tables(orb, f + delta)["chat"]
+            lo = _tables(orb, f - delta)["chat"]
             fd = (hi - lo) / (2.0 * delta)
             inv = phi_inv(orb, f)
             core = np.zeros((6, 6))

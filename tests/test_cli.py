@@ -159,6 +159,7 @@ class TestExitCodes:
         ("p", "1e-300"),
         ("ff", "inf"),
         ("h_f", "6.283185307179586e-08"),  # tiles [f0, ff] in 10^8 steps, past the cap
+        ("s_dar", "-1.0"),
     ])
     def test_non_finite_scenario_value(self, tmp_path, capsys, key, value):
         path = scenario_file(tmp_path, **{key: value})
@@ -183,19 +184,32 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("riccati.SingularFactor:") and "conjugate point" in err
 
-    @pytest.mark.parametrize("cmd", ["simulate", "wincheck"])
-    def test_certified_scenario_exits_0(self, tmp_path, capsys, cmd):
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "SCENARIO"],
+        ["wincheck", "SCENARIO"],
+        ["ellipsoids", "SCENARIO", "--f-list", "1.0,12.5", "--out", "OUT"],
+        ["sweep-e", "SCENARIO", "--e-list", "0.8", "--out", "OUT"],
+    ], ids=["simulate", "wincheck", "ellipsoids", "sweep-e"])
+    def test_certified_scenario_exits_0(self, tmp_path, capsys, argv):
         # D2 of tests/test_riccati.py at 990 steps over two revolutions: the
         # float64 det F reads negative near ff, but r_d <= r_a proves that no
         # conjugate point exists, so the factor check is the kappa_1 gate at
-        # f0 and both commands succeed
+        # f0 and every command succeeds, the scans with no error cell
         ff = 4.0 * math.pi
         path = scenario_file(tmp_path, e="0.8", ff=repr(ff), h_f=repr(ff / 990),
                              r_a="7.383e8", r_d="4.55e6", s_ar="19.78", s_av="2.184",
                              s_dar="0.9168", s_dav="2645.0")
-        code, out, err = run([cmd, path], capsys)
+        out_path = tmp_path / "out.csv"
+        argv = [{"SCENARIO": path, "OUT": str(out_path)}.get(a, a) for a in argv]
+        code, out, err = run(argv, capsys)
         assert (code, err) == (0, "")
-        assert json.loads(out)
+        if "--out" in argv:
+            with open(out_path, newline="", encoding="utf-8") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == (4 if argv[0] == "ellipsoids" else 1)
+            assert all(row["error"] == "" for row in rows)
+        else:
+            assert json.loads(out)
 
     @pytest.mark.parametrize("argv", [
         ["wincheck", "SCENARIO"],

@@ -424,20 +424,29 @@ class TestPropagateAnalytical:
         run(cfg)
         assert calls == [cfg.grid.shape]
 
-    @pytest.mark.parametrize("run, ff, bound", [
-        (propagate_analytical, 20.0 * np.pi, 1.5),
-        (scan_quadratics, 20.0 * np.pi, 1.5),
-        (propagate_analytical, 2.0 * np.pi, 1.5),
-        (scan_quadratics, 2.0 * np.pi, 1.2),
+    @pytest.mark.parametrize("run, ff, bound, swapped", [
+        (propagate_analytical, 20.0 * np.pi, 1.5, False),
+        (scan_quadratics, 20.0 * np.pi, 1.5, False),
+        (propagate_analytical, 2.0 * np.pi, 1.5, False),
+        (scan_quadratics, 2.0 * np.pi, 1.2, False),
+        (propagate_analytical, 20.0 * np.pi, 1.5, True),
+        (scan_quadratics, 20.0 * np.pi, 1.5, True),
+        (propagate_analytical, 2.0 * np.pi, 1.5, True),
+        (scan_quadratics, 2.0 * np.pi, 1.2, True),
     ], ids=["propagate_analytical", "scan_quadratics", "propagate_analytical-1001",
-            "scan_quadratics-1001"])
-    def test_peak_memory_per_node(self, run, ff, bound):
-        # the factor check holds its channel blocks for one chunk only,
-        # and the flow builds one 6x6 stack, of C_hat differences, so
-        # the peak is the tables and the outputs, on the 1001-node
-        # reference grid too.  The measured run checks the factor: it does
-        # not read the P(f0) that the first run left behind
-        cfg = reference_config(ff=ff)
+            "scan_quadratics-1001", "propagate_analytical-swapped", "scan_quadratics-swapped",
+            "propagate_analytical-1001-swapped", "scan_quadratics-1001-swapped"])
+    def test_peak_memory_per_node(self, run, ff, bound, swapped):
+        # the flow builds one 6x6 stack, of C_hat differences, so the peak
+        # is the tables and the outputs, on the 1001-node reference grid
+        # too.  The reference weights have r_d <= r_a, so their factor
+        # check is the gate at f0; with r_a and r_d swapped it sweeps the
+        # grid, holding its channel blocks for one chunk (riccati._CHUNK)
+        # only, and must stay within the same bounds.  The measured run
+        # checks the factor: it does not read the P(f0) that the first run
+        # left behind
+        weights = replace(WEIGHTS, r_a=WEIGHTS.r_d, r_d=WEIGHTS.r_a) if swapped else WEIGHTS
+        cfg = reference_config(ff=ff, weights=weights)
         run(cfg)
         game._p0_record = None
         tracemalloc.start()

@@ -13,6 +13,7 @@ from properties import (
     FROZEN_C,
     c_hat_closed_form,
     coupled_system_matrix,
+    eccentric_to_true,
     max_rel,
     phi_inv,
     rk4_integrate,
@@ -30,7 +31,6 @@ from tadgame.riccati import (
     _require_conditioned,
     _tables,
     _u_blocks_arrays,
-    c_hat,
 )
 from tadgame.winning import SingularBlock
 
@@ -46,7 +46,7 @@ ZERO_PAIRS = [(0, 4), (0, 5), (1, 4), (1, 5), (2, 4), (2, 5), (3, 4), (3, 5)]
 
 
 def integrand_matrix(orb, f):
-    """Integrand whose antiderivative c_hat closes in eccentric anomaly."""
+    """Integrand whose antiderivative C_hat closes in eccentric anomaly."""
     pinv = phi_inv(orb, f)
     bbar = np.zeros((6, 6))
     bbar[3:, 3:] = np.eye(3) / rho(orb, f) ** 6
@@ -87,6 +87,13 @@ class TestWeightSet:
         with pytest.raises(ValueError):
             WeightSet(r_a=5e9, r_d=-1.0, s_ar=1, s_av=1, s_dar=1, s_dav=1)
 
+    @pytest.mark.parametrize("field", ["s_ar", "s_av", "s_dar", "s_dav"])
+    def test_rejects_negative_terminal_weights(self, field):
+        kw = dict(r_a=5e9, r_d=3e9, s_ar=1.0, s_av=1.0, s_dar=1.0, s_dav=1.0)
+        kw[field] = -1.0
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got -1.0$"):
+            WeightSet(**kw)
+
     @pytest.mark.parametrize("field", ["r_a", "r_d", "s_ar", "s_av", "s_dar", "s_dav"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite(self, field, value):
@@ -97,6 +104,7 @@ class TestWeightSet:
 
 
 class TestAntiderivativeMatrix:
+    # C_hat as the package builds it: the chat records of the grid tables
     @staticmethod
     def anomalies(rng):
         # one scalar and one 2-D array of anomalies, up to 20 revolutions
@@ -106,17 +114,17 @@ class TestAntiderivativeMatrix:
         rng = np.random.default_rng(41)
         for _ in range(10):
             orb = orbit_with(rng.uniform(0.0, 0.8))
-            for E in self.anomalies(rng):
-                c = c_hat(orb, E)
-                assert c.shape == np.shape(E) + (6, 6)
+            for f in self.anomalies(rng):
+                c = _tables(orb, f)["chat"]
+                assert c.shape == np.shape(f) + (6, 6)
                 assert np.array_equal(c, np.swapaxes(c, -1, -2))
 
     def test_structural_zeros(self):
         rng = np.random.default_rng(42)
         for _ in range(20):
             orb = orbit_with(rng.uniform(0.0, 0.8))
-            for E in self.anomalies(rng):
-                c = c_hat(orb, E)
+            for f in self.anomalies(rng):
+                c = _tables(orb, f)["chat"]
                 for i, j in ZERO_PAIRS:
                     assert np.all(c[..., i, j] == 0.0) and np.all(c[..., j, i] == 0.0)
 
@@ -125,14 +133,18 @@ class TestAntiderivativeMatrix:
         # the basis product against the entry-by-entry formulas, to 1e-14
         # of each entry's largest value over 20 revolutions either way
         orb = orbit_with(e)
-        E = np.linspace(-40.0 * math.pi, 40.0 * math.pi, 4001)
-        got, want = c_hat(orb, E), c_hat_closed_form(orb, E)
+        f = eccentric_to_true(orb, np.linspace(-40.0 * math.pi, 40.0 * math.pi, 4001))
+        got = _tables(orb, f)["chat"]
+        want = c_hat_closed_form(orb, true_to_eccentric(orb, f))
         scale = np.abs(want).max(axis=0)
         assert np.all(np.abs(got - want) <= 1e-14 * scale)
 
     def test_frozen_reference_values(self):
+        # the values are frozen at E: the records are at the f of that E,
+        # and the E -> f -> E round trip moves C_hat by ~5e-15 relative
         for (e, E), vals in FROZEN_C.items():
-            c = c_hat(orbit_with(e), E)
+            orb = orbit_with(e)
+            c = _tables(orb, eccentric_to_true(orb, E))["chat"]
             for (i, j), want in zip(C_INDEX, vals):
                 if want == 0.0:
                     assert abs(c[i, j]) < 1e-13
@@ -146,8 +158,8 @@ class TestAntiderivativeMatrix:
         for _ in range(50):
             orb = orbit_with(rng.uniform(0.0, 0.8))
             f = rng.uniform(0.05, 2.0 * math.pi)
-            hi = c_hat(orb, true_to_eccentric(orb, f + delta))
-            lo = c_hat(orb, true_to_eccentric(orb, f - delta))
+            hi = _tables(orb, f + delta)["chat"]
+            lo = _tables(orb, f - delta)["chat"]
             fd = (hi - lo) / (2.0 * delta)
             assert max_rel(fd, integrand_matrix(orb, f)) < 1e-6
 
@@ -157,8 +169,8 @@ class TestAntiderivativeMatrix:
         for e in np.arange(0.0, 0.51, 0.1):
             orb = orbit_with(float(e))
             for f in rng.uniform(0.05, 2.0 * math.pi, 10):
-                hi = c_hat(orb, true_to_eccentric(orb, f + delta))
-                lo = c_hat(orb, true_to_eccentric(orb, f - delta))
+                hi = _tables(orb, f + delta)["chat"]
+                lo = _tables(orb, f - delta)["chat"]
                 fd = (hi - lo) / (2.0 * delta)
                 assert max_rel(fd, integrand_matrix(orb, f)) < 1e-6
 
@@ -168,13 +180,16 @@ class TestTables:
                              ids=["scalar", "1-D", "2-D", "past-chunk"])
     def test_records_are_phi_and_c_hat(self, shape):
         # one pass per chunk of shared anomaly terms gives phi bitwise and
-        # C_hat as c_hat gives it on the whole array
+        # C_hat to 1e-14 of each entry's largest value, past the first
+        # chunk too
         orb = orbit_with(0.6)
         f = np.random.default_rng(45).uniform(-125.0, 125.0, shape)
         t = _tables(orb, f)
         assert t.shape == np.shape(f) and np.array_equal(t["f"], f)
         assert t["phi"].tobytes() == phi(orb, f).tobytes()
-        assert np.array_equal(t["chat"], c_hat(orb, true_to_eccentric(orb, f)))
+        want = c_hat_closed_form(orb, true_to_eccentric(orb, f))
+        scale = np.abs(want).reshape(-1, 6, 6).max(axis=0)
+        assert np.all(np.abs(t["chat"] - want) <= 1e-14 * scale)
 
 
 class TestCouplingIntegral:
