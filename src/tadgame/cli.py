@@ -203,8 +203,8 @@ def cmd_simulate(args):
 
 
 def _rel_err(a, b):
-    """Relative difference of a against reference b."""
-    return abs(a - b) / abs(b)
+    """Relative difference of a against reference b, or |a - b| when b is 0."""
+    return abs(a - b) / abs(b) if b else abs(a - b)
 
 
 def cmd_compare(args):

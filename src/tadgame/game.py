@@ -171,7 +171,8 @@ def _solve(config, z0, f=None):
     record: a new start in the same scenario reads it and builds no grid
     table when f is given.  The record holds no table and no view of one;
     a SingularFactor leaves it as it was.  Values that overflow come out
-    as inf or nan, for the caller to reject."""
+    as inf or nan, for the caller to reject under the floating-point rule
+    (README): the public entry points carry the one np.errstate guard."""
     global _p0_record
     t = _tables(config.orbit, config.grid if f is None else f)
     key = (config.orbit, config.weights, config.f0, config.ff, config.n_steps)
@@ -183,12 +184,10 @@ def _solve(config, z0, f=None):
         p0 = _riccati_p_arrays(config.orbit, config.weights, checked)
         p0.flags.writeable = False
         t0 = checked[0].copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            kappa_map = _kappa_map(t0, p0)
+        kappa_map = _kappa_map(t0, p0)
         kappa_map.flags.writeable = False
         _p0_record = (key, t0, p0, kappa_map)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y, kappa = _flow(config, t, t0, kappa_map, z0)
+    y, kappa = _flow(config, t, t0, kappa_map, z0)
     return t, p0, y, kappa
 
 
@@ -222,11 +221,11 @@ def propagate_analytical(config):
     u_a = -(beta / rho^3 r_a) (lam - nu)_v and u_d = (beta / rho^3 r_d) nu_v,
     and the cost is the game value 1/2 y0^T P(f0) y0.
     Raises OverflowError where a result is not finite."""
-    orbit, weights = config.orbit, config.weights
-    y0 = np.concatenate([config.x_a0, config.x_da0])
-    t, p0, y, kappa = _solve(config, y0)
-    grid = config.grid  # after the table build, whose peak it would raise
     with np.errstate(over="ignore", invalid="ignore"):
+        orbit, weights = config.orbit, config.weights
+        y0 = np.concatenate([config.x_a0, config.x_da0])
+        t, p0, y, kappa = _solve(config, y0)
+        grid = config.grid  # after the table build, whose peak it would raise
         costates = -_J @ (t["phi"] @ (_K @ kappa))
         costates[0] = (p0 @ y0).reshape(2, 6).T
         x_a, x_da = y[:, 0:6], y[:, 6:12]
@@ -237,8 +236,8 @@ def propagate_analytical(config):
         dist_at = np.linalg.norm(x_a[:, :3], axis=1)
         dist_da = np.linalg.norm(x_da[:, :3], axis=1)
         j = _cost_from_arrays(p0, y0)
-    _require_finite("the trajectory", y, costates, u_a, u_d, dist_at, dist_da, j)
-    return Trajectory(
-        grid=grid, x_a=x_a, x_da=x_da, u_a=u_a, u_d=u_d,
-        lam=lam, nu=nu, dist_at=dist_at, dist_da=dist_da, cost=j,
-    )
+        _require_finite("the trajectory", y, costates, u_a, u_d, dist_at, dist_da, j)
+        return Trajectory(
+            grid=grid, x_a=x_a, x_da=x_da, u_a=u_a, u_d=u_d,
+            lam=lam, nu=nu, dist_at=dist_at, dist_da=dist_da, cost=j,
+        )

@@ -23,7 +23,7 @@ _BLOWUP_LIMIT = 1e15
 
 
 class NumericalBlowup(RuntimeError):
-    """An integrated quantity left the trusted range (entries above 1e15)."""
+    """An integrated quantity left the trusted range: NaN or an entry past 1e15."""
 
     def __init__(self, message, f=None):
         super().__init__(message)
@@ -151,7 +151,7 @@ def integrate_riccati_backward(config, step=None):
     equal RK4 sub-steps to bring the integrator inside its stability
     region: an even count per interval, of about step each (default
     h_f/16; a nonpositive step raises ValueError).  Raises NumericalBlowup
-    when any P entry passes 1e15 in magnitude."""
+    when any P entry passes 1e15 in magnitude or is NaN."""
     if step is None:
         step = config.h_f / 16.0
     if not step > 0:
@@ -169,9 +169,9 @@ def integrate_riccati_backward(config, step=None):
         f = float(nodes[k])
         for i in range(n_sub):
             pflat = rk4_step(field, pflat, f + i * h, h)
-            if any(abs(x) > _BLOWUP_LIMIT for x in pflat):
+            if not all(abs(x) <= _BLOWUP_LIMIT for x in pflat):  # NaN fails too
                 raise NumericalBlowup(
-                    f"Riccati solution exceeded {_BLOWUP_LIMIT:.0e} "
+                    f"Riccati solution is NaN or past {_BLOWUP_LIMIT:.0e} "
                     f"near f={f + (i + 1) * h:.9g}",
                     f=f + (i + 1) * h,
                 )
@@ -272,9 +272,10 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
             break
         field = staged_field([nodes[k], mids[k], mids[k], nodes[k + 1]])
         y = rk4_step(field, y, fk, float(grid[k + 1] - grid[k]))
-        if any(abs(v) > _BLOWUP_LIMIT for v in y):
+        if not all(abs(v) <= _BLOWUP_LIMIT for v in y):  # NaN fails too
             raise NumericalBlowup(
-                f"simulated state exceeded {_BLOWUP_LIMIT:.0e} near f={float(grid[k + 1]):.9g}",
+                f"simulated state is NaN or past {_BLOWUP_LIMIT:.0e} "
+                f"near f={float(grid[k + 1]):.9g}",
                 f=float(grid[k + 1]),
             )
         states.append(list(y))

@@ -87,13 +87,8 @@ def true_to_eccentric(orbit, f):
 
 
 def _secular(orbit, E, sin_e):
-    return (E - orbit.e * sin_e) / (1.0 - orbit.e * orbit.e) ** 1.5
-
-
-def secular_l(orbit, f):
     """Secular term L(f) = (E - e sin E) / (1 - e^2)^(3/2), continued in f."""
-    E = true_to_eccentric(orbit, f)
-    return _secular(orbit, E, np.sin(E))
+    return (E - orbit.e * sin_e) / (1.0 - orbit.e * orbit.e) ** 1.5
 
 
 def phi(orbit, f):

@@ -468,9 +468,8 @@ def _riccati_p_arrays(orbit, weights, t):
     if weights.r_d > weights.r_a:  # not certified: sweep the grid
         for stop in range(t.size, 0, -_CHUNK):
             start = max(stop - _CHUNK, 0)
-            with np.errstate(invalid="ignore"):  # a NaN in a block raises below
-                signs, logdets = zip(*map(np.linalg.slogdet,
-                                          _channel_factors(orbit, weights, t[-1], t[start:stop])))
+            signs, logdets = zip(*map(np.linalg.slogdet,
+                                      _channel_factors(orbit, weights, t[-1], t[start:stop])))
             finite = np.all(np.isfinite(logdets), axis=0)
             bad = np.flatnonzero(~finite | (np.minimum(*signs) < 0))
             if bad.size:

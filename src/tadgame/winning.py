@@ -124,16 +124,17 @@ def ellipsoid_at(config, f, which):
     f = float(f)
     if not config.f0 <= f <= config.ff:
         raise ValueError(f"anomaly f={f!r} lies outside the horizon [{config.f0!r}, {config.ff!r}]")
-    rows = slice(0, 3) if which == "S1" else slice(6, 9)
-    d = _d_grid(config, f)
-    own = d[rows, 6:9]
-    cross = d[rows, 0:3]
-    label = "capture" if which == "S1" else "interception"
-    _require_conditioned(own, f, SingularBlock, f"position block of the {label} condition")
-    ra0 = config.x_a0[:3]
-    radius = config.r1 if which == "S1" else config.r2
-    center = ra0 - np.linalg.solve(own, cross @ ra0)
-    _require_finite("the ellipsoid centre", center)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = slice(0, 3) if which == "S1" else slice(6, 9)
+        d = _d_grid(config, f)
+        own = d[rows, 6:9]
+        cross = d[rows, 0:3]
+        label = "capture" if which == "S1" else "interception"
+        _require_conditioned(own, f, SingularBlock, f"position block of the {label} condition")
+        ra0 = config.x_a0[:3]
+        radius = config.r1 if which == "S1" else config.r2
+        center = ra0 - np.linalg.solve(own, cross @ ra0)
+        _require_finite("the ellipsoid centre", center)
     return Ellipsoid(center_offset=center, radius=float(radius), m=own)
 
 
@@ -150,11 +151,11 @@ def scan_quadratics(config):
     propagate_analytical does, and OverflowError where a value is not
     finite."""
     _require_hovering(config)
-    _, _, y, _ = _solve(config, np.concatenate([config.x_a0, config.x_da0]))
     with np.errstate(over="ignore", invalid="ignore"):
+        _, _, y, _ = _solve(config, np.concatenate([config.x_a0, config.x_da0]))
         v1 = np.sum(y[1:, 0:3] ** 2, axis=1) - config.r1**2
         v2 = np.sum(y[1:, 6:9] ** 2, axis=1) - config.r2**2
-    _require_finite("the winning scan", v1, v2)
+        _require_finite("the winning scan", v1, v2)
     # the grid, not t["f"]: a view into t would keep the whole table alive
     return config.grid[1:], v1, v2
 

@@ -146,6 +146,17 @@ class TestBackwardSweep:
             integrate_riccati_backward(cfg, step=cfg.h_f)
         assert np.isfinite(info.value.f)
 
+    @pytest.mark.parametrize("penalty", ["r_a", "r_d"])
+    def test_nan_is_a_blowup(self, penalty):
+        # a penalty of 1e-300 makes the RK4 gain overflow to inf, and
+        # inf - inf to NaN, which no comparison with the limit catches:
+        # the sweep must raise at its first sub-step, not return NaN
+        cfg = reference_config(ff=4.0 * np.pi / 500.0,
+                               weights=replace(WEIGHTS, **{penalty: 1e-300}))
+        with pytest.raises(NumericalBlowup, match="NaN or past 1e[+]15") as info:
+            integrate_riccati_backward(cfg)
+        assert info.value.f == pytest.approx(cfg.ff - cfg.h_f / 16.0, rel=1e-12)
+
     def test_convergence_order(self):
         # smooth weights keep the terminal transient wide relative to h so
         # the asymptotic rate is visible
@@ -215,6 +226,16 @@ class TestSimulate:
         assert len(other.grid) == len(cfg.grid)
         with pytest.raises(ValueError, match="does not cover"):
             simulate_numerical(cfg, zero_pgrid(other.grid))
+
+    def test_nan_state_is_a_blowup(self):
+        # a NaN gain makes the state NaN after the first step: the forward
+        # simulation must raise there, not return a NaN trajectory
+        cfg = reference_config(ff=np.pi / 10.0)
+        pgrid = zero_pgrid(cfg.grid)
+        pgrid.p[:] = math.nan
+        with pytest.raises(NumericalBlowup, match="NaN or past 1e[+]15") as info:
+            simulate_numerical(cfg, pgrid)
+        assert info.value.f == cfg.grid[1]
 
     def test_controls_follow_costate_formula(self, numerical_run):
         # the oracle's controls are the saddle-point formula on its own

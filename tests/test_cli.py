@@ -120,6 +120,10 @@ class TestResolve:
 class TestRecords:
     def test_rel_err_identity(self):
         assert _rel_err(0.5091, 0.5091) == 0.0
+        # a zero reference gives the absolute difference, not a ZeroDivisionError
+        assert _rel_err(0.0, 0.0) == 0.0
+        assert _rel_err(0.25, 0.0) == 0.25
+        assert _rel_err(-0.25, 0.0) == 0.25
 
 
 class TestTrajectoryCsv:
@@ -275,6 +279,44 @@ class TestExitCodes:
         code, _, err = run(["simulate", path, "--method", "numerical"], capsys)
         assert code == 3
         assert err.startswith("numerical_baseline.NumericalBlowup:")
+
+    @pytest.mark.parametrize("penalty", ["r_a", "r_d"])
+    def test_numerical_nan_is_a_blowup(self, tmp_path, capsys, penalty):
+        # the RK4 gain turns NaN at the first sub-step: exit 3 with one
+        # stderr line, not exit 0 with "J": NaN on stdout
+        path = scenario_file(tmp_path, ff=repr(4 * H_F), **{penalty: "1e-300"})
+        code, out, err = run(["simulate", path, "--method", "numerical"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical_baseline.NumericalBlowup:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("overrides", [
+        {"r_a": "1e-300"},
+        {"ff": "1e300", "h_f": "1e299"},
+    ], ids=["tiny-r_a", "huge-ff"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "SCENARIO"],
+        ["wincheck", "SCENARIO"],
+        ["ellipsoids", "SCENARIO", "--f-list", "1.0", "--out", "OUT"],
+        ["sweep-e", "SCENARIO", "--e-list", "0.1", "--out", "OUT"],
+    ], ids=["simulate", "wincheck", "ellipsoids", "sweep-e"])
+    def test_overflowing_closed_form(self, tmp_path, capsys, argv, overrides):
+        # the factor overflows to inf and NaN at f0: one SingularFactor
+        # line with exit 3, or an error cell with exit 0 in sweep-e, and no
+        # numpy warning (a warning raises under the suite's filter)
+        path = scenario_file(tmp_path, **overrides)
+        out_path = tmp_path / "out.csv"
+        argv = [{"SCENARIO": path, "OUT": str(out_path)}.get(a, a) for a in argv]
+        code, _, err = run(argv, capsys)
+        if argv[0] == "sweep-e":
+            assert (code, err) == (0, "")
+            with open(out_path, newline="", encoding="utf-8") as fh:
+                (row,) = csv.DictReader(fh)
+            assert row["error"].startswith("SingularFactor:")
+            assert row["error"].endswith("(condition number inf)")
+        else:
+            assert code == 3 and err.count("\n") == 1
+            assert err.startswith("riccati.SingularFactor:")
+            assert err.endswith("at f=0 (condition number inf)\n")
 
     def test_wincheck_requires_hovering(self, tmp_path, capsys):
         path = scenario_file(tmp_path, xa0="0.0, 20.0, 0.0, 0.001, 0.0, 0.0")
@@ -482,6 +524,17 @@ class TestCompare:
         # the RK4 oracle's trapezoid J converges at second order only from a
         # step of h_f/8 on, so from h_f to h_f/4 ask for a 16x drop alone
         assert errs[2][2] < errs[0][2] / 16.0
+
+    def test_zero_reference(self, tmp_path, capsys):
+        # with every terminal weight 0 both routes give J = 0.0, and the
+        # relative error against a zero reference is the absolute one
+        zero = {key: "0.0" for key in ("s_ar", "s_av", "s_dar", "s_dav")}
+        path = scenario_file(tmp_path, ff=repr(4 * H_F), **zero)
+        code, out, err = run(["compare", path], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["analytical"]["J"] == payload["numerical"]["J"] == 0.0
+        assert payload["rel_err_J"] == 0.0
 
     def test_reps_adds_timing(self, tmp_path, capsys):
         path = scenario_file(tmp_path, ff=repr(math.pi / 10.0))

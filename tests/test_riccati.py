@@ -2,6 +2,7 @@
 singularity policy, and the closed-form feedback-gain solution."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from tadgame.riccati import (
     _tables,
     _u_blocks_arrays,
 )
-from tadgame.winning import SingularBlock
+from tadgame.winning import SingularBlock, ellipsoid_at, scan_quadratics
 
 ORBIT = ReferenceOrbit(mu=398603.0, p=10000.0, e=0.1)
 WEIGHTS = WeightSet(r_a=5e9, r_d=3e9, s_ar=1.0, s_av=1.0, s_dar=0.001, s_dav=0.001)
@@ -338,6 +339,24 @@ class TestSingularityPolicy:
             propagate_analytical(cfg)
         assert info.value.f == nodes[1]
         assert info.value.cond == math.inf
+
+    @pytest.mark.parametrize("overrides", [
+        {"weights": replace(WEIGHTS, r_a=1e-300)},
+        {"ff": 1e300, "h_f": 1e299},
+    ], ids=["tiny-r_a", "huge-ff"])
+    @pytest.mark.parametrize("entry", [
+        propagate_analytical,
+        scan_quadratics,
+        lambda cfg: ellipsoid_at(cfg, 1.0, "S1"),
+    ], ids=["propagate_analytical", "scan_quadratics", "ellipsoid_at"])
+    def test_overflow_is_a_singular_factor(self, entry, overrides):
+        # 1/r_a, or C_hat at E ~ 1e300, overflows while the factor at f0 is
+        # built: each entry point runs under one np.errstate guard, so the
+        # inf and NaN surface only as the policy's error, with cond = inf,
+        # never as a RuntimeWarning from the kernel below
+        with pytest.raises(SingularFactor, match=r"at f=0 \(condition number inf\)") as info:
+            entry(reference_config(**overrides))
+        assert (info.value.f, info.value.cond) == (0.0, math.inf)
 
 
 class TestChannelCheck:
