@@ -6,14 +6,15 @@ Scenario files are plain `key = value` text in a fixed key vocabulary;
 outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
-Exit codes: 0 ok, 2 scenario/config error (a NaN or infinite scenario
-number or value of --rd0, --e-list or --f-list, a --reps below 3, finite
-scenario numbers so large that a closed-form result overflows or that the
-numerical route's initial state already exceeds its blow-up limit, an
-ellipsoids anomaly outside [f0, ff] and an output path that cannot be
-written, which is checked before any work, included), 3 singular or blown-up
-computation, 4 violated winning-condition precondition (hovering states,
-admissible --rd0) in wincheck, sweep-e and ellipsoids.
+Exit codes: 0 ok, 2 scenario/config error (an unreadable scenario file, a
+NaN or infinite scenario number or value of --rd0, --e-list or --f-list, a
+--reps below 3, finite scenario numbers so extreme that the closed form
+overflows, ff = 1e300 or r_a = 1e-300 say, or that the numerical route's
+initial state exceeds its blow-up limit, an ellipsoids anomaly outside
+[f0, ff] and an output path that cannot be written, checked before any
+work), 3 singular or blown-up computation, 4 violated winning-condition
+precondition (hovering states, admissible --rd0) in wincheck, sweep-e and
+ellipsoids.
 """
 
 import argparse
@@ -81,7 +82,7 @@ def parse_scenario(path):
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read scenario {path!r}: {exc}")
     seen = {}
     for line_no, line in enumerate(lines, start=1):
@@ -296,10 +297,10 @@ def build_parser():
             "R1/R2 (km). A bare scenario name (e.g. reference) loads a packaged scenario."
         ),
         epilog="Exit codes: 0 ok, 2 scenario/config error, non-finite option "
-               "value, overflowing scenario numbers (either method) or "
-               "unwritable output path, 3 singular/blown-up computation, "
-               "4 violated winning-condition precondition (hovering states, "
-               "admissible --rd0) in wincheck, sweep-e and ellipsoids.",
+               "value, overflowing scenario numbers (either method; ff = 1e300 "
+               "or r_a = 1e-300, say) or unwritable output path, 3 singular/"
+               "blown-up computation, 4 violated winning-condition precondition "
+               "(hovering states, admissible --rd0) in wincheck, sweep-e and ellipsoids.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -14,7 +14,8 @@ import numpy as np
 
 from .orbital_core import _J, _K, ReferenceOrbit, rho
 # _u_blocks_arrays unused: perfbench/spans.py traces it (tests/test_traced_names.py)
-from .riccati import WeightSet, _coupling, _riccati_p_arrays, _tables, _u_blocks_arrays
+from .riccati import (WeightSet, _coupling, _require_finite, _riccati_p_arrays, _tables,
+                      _u_blocks_arrays)
 
 # a name for perfbench/spans.py to trace alone: nothing calls it
 riccati_p = _riccati_p_arrays
@@ -62,8 +63,8 @@ class GameConfig:
                 f"grid step h_f={self.h_f!r} does not close on ff={self.ff!r} "
                 f"(({self.ff!r} - {self.f0!r}) / h_f = {steps!r})"
             )
-        if not self.r1 > 0 or not self.r2 > 0:
-            raise ValueError(f"radii must be positive, got r1={self.r1!r}, r2={self.r2!r}")
+        if not (0 < self.r1 < math.inf and 0 < self.r2 < math.inf):
+            raise ValueError(f"radii must be finite and positive: r1={self.r1!r}, r2={self.r2!r}")
         for name in ("x_a0", "x_da0"):
             v = getattr(self, name)
             if v.shape != (6,) or not np.all(np.isfinite(v)):
@@ -203,12 +204,6 @@ def _cost_from_arrays(p0, y0):
     from the joint start y0: exact, so it needs no quadrature over the
     grid.  The name is the one perfbench/spans.py traces (game.cost_ms)."""
     return 0.5 * float(y0 @ p0 @ y0)
-
-
-def _require_finite(what, *arrays):
-    """Raise OverflowError unless every value is finite (the inputs are)."""
-    if not all(np.all(np.isfinite(a)) for a in arrays):
-        raise OverflowError(f"{what} overflows: the scenario's numbers are too large")
 
 
 def propagate_analytical(config):

@@ -30,6 +30,12 @@ class NumericalBlowup(RuntimeError):
         self.f = f
 
 
+def _require_bounded(values, what, f):
+    """Raise NumericalBlowup at f unless every value is in range; NaN fails too."""
+    if not all(abs(x) <= _BLOWUP_LIMIT for x in values):
+        raise NumericalBlowup(f"{what} is NaN or past {_BLOWUP_LIMIT:.0e} near f={f:.9g}", f=f)
+
+
 @dataclass(frozen=True)
 class PGrid:
     """Riccati solution stored per node on the descending grid ff -> f0,
@@ -169,12 +175,7 @@ def integrate_riccati_backward(config, step=None):
         f = float(nodes[k])
         for i in range(n_sub):
             pflat = rk4_step(field, pflat, f + i * h, h)
-            if not all(abs(x) <= _BLOWUP_LIMIT for x in pflat):  # NaN fails too
-                raise NumericalBlowup(
-                    f"Riccati solution is NaN or past {_BLOWUP_LIMIT:.0e} "
-                    f"near f={f + (i + 1) * h:.9g}",
-                    f=f + (i + 1) * h,
-                )
+            _require_bounded(pflat, "Riccati solution", f + (i + 1) * h)
             if i + 1 == n_sub // 2:
                 mids.append(pflat)
         stored.append(pflat)
@@ -272,12 +273,7 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
             break
         field = staged_field([nodes[k], mids[k], mids[k], nodes[k + 1]])
         y = rk4_step(field, y, fk, float(grid[k + 1] - grid[k]))
-        if not all(abs(v) <= _BLOWUP_LIMIT for v in y):  # NaN fails too
-            raise NumericalBlowup(
-                f"simulated state is NaN or past {_BLOWUP_LIMIT:.0e} "
-                f"near f={float(grid[k + 1]):.9g}",
-                f=float(grid[k + 1]),
-            )
+        _require_bounded(y, "simulated state", float(grid[k + 1]))
         states.append(list(y))
 
     # cost: terminal quadratic terms plus a trapezoid sweep, all plain python

@@ -49,21 +49,28 @@ class _Singular(RuntimeError):
 class SingularFactor(_Singular):
     """The factor F that P is solved with is numerically singular at f0
     (kappa_1 of the 12x12 F), or, when r_d > r_a, the factor check,
-    sweeping back from ff, meets a record f where a channel block's
-    log|det| is not finite (cond = inf) or a channel det is negative, a
-    conjugate point in (f, next record] (cond is kappa_1 of the 12x12 F at
-    f).  With r_d <= r_a it raises at f0 alone (proof in _riccati_p_arrays)."""
+    sweeping back from ff, meets a record f where a channel block is
+    exactly singular (cond = inf) or a channel det is negative, a conjugate
+    point in (f, next record] (cond is kappa_1 of the 12x12 F at f).  With
+    r_d <= r_a it raises at f0 alone (proof in _riccati_p_arrays).  An F
+    with a NaN or infinite entry raises OverflowError instead."""
+
+
+def _require_finite(what, *arrays):
+    """Raise OverflowError unless every value is finite (the inputs are)."""
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise OverflowError(f"{what} overflows: the scenario's numbers are too large")
 
 
 def _require_conditioned(mat, f, error, what):
     """Condition number kappa_1 = ||A||_1 ||A^-1||_1, as a float, of the
     square matrix A built at the anomaly f: the one singularity policy.
-    Raises error(message, f=, cond=) unless kappa_1 is at most
-    _SINGULAR_COND.  np.linalg.cond gives inf for an exactly singular
-    matrix and nan for one with NaN entries, reported as inf."""
+    Raises OverflowError naming what and f if an entry is NaN or infinite
+    (an overflow that IEEE arithmetic carried forward), then error(message,
+    f=, cond=) unless kappa_1 is at most _SINGULAR_COND (inf if singular)."""
+    _require_finite(f"{what} at f={f:.9g}", mat)
     cond = float(np.linalg.cond(mat, 1))
     if not cond <= _SINGULAR_COND:
-        cond = math.inf if math.isnan(cond) else cond
         raise error(f"{what} is numerically singular at f={f:.9g} "
                     f"(condition number {cond:.3e})", f=float(f), cond=cond)
     return cond
@@ -455,12 +462,12 @@ def _riccati_p_arrays(orbit, weights, t):
     (_channel_factors, one slogdet per block) chunk by chunk from ff back
     to f0, the order in which the Riccati solution is built from
     P(ff) = S, and raises SingularFactor at the first failing record f_k
-    from ff, reading no chunk past it: a non-finite log|det| (NaN or inf
-    entries, or an exactly singular block) with cond = inf, or a negative
-    sign with cond = kappa_1 of the 12x12 F at f_k.  G(ff) = I and f_k+1
-    passed, so a negative sign brackets a conjugate point in
-    (f_k, f_k+1].  game._solve, the one caller in the package, hands over
-    the scenario's whole grid table."""
+    from ff, reading no chunk past it: a negative sign with cond = kappa_1
+    of the 12x12 F at f_k, or a non-finite log|det|, where
+    _require_conditioned on f_k's blocks raises (OverflowError on NaN or
+    inf entries).  G(ff) = I and f_k+1 passed, so a negative sign brackets
+    a conjugate point in (f_k, f_k+1].  game._solve, the one caller in the
+    package, hands over the scenario's whole grid table."""
     what = "factor U22 - S U12"
     fs = t["f"]
     factor_0 = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[0]))
@@ -475,8 +482,8 @@ def _riccati_p_arrays(orbit, weights, t):
             if bad.size:
                 k = start + bad[-1]
                 if not finite[bad[-1]]:
-                    raise SingularFactor(f"{what} is numerically singular at f={fs[k]:.9g} "
-                                         f"(condition number inf)", f=float(fs[k]), cond=math.inf)
+                    for block in _channel_factors(orbit, weights, t[-1], t[k]):
+                        _require_conditioned(block, fs[k], SingularFactor, what)
                 factor_k = _factor(orbit, weights, *_u_blocks_arrays(t[-1], t[k]))
                 raise SingularFactor(f"{what} has det <= 0 at f={fs[k]:.9g}: conjugate point in "
                                      f"({fs[k]:.9g}, {fs[k + 1]:.9g}]", f=float(fs[k]),

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .game import _d_grid, _require_finite, _solve
-from .riccati import _Singular, _require_conditioned
+from .game import _d_grid, _solve
+from .riccati import _Singular, _require_conditioned, _require_finite
 
 
 class SingularBlock(_Singular):
@@ -36,8 +36,8 @@ class TerminalSets:
     r2: float
 
     def __post_init__(self):
-        if not self.r1 > 0 or not self.r2 > 0:
-            raise ValueError(f"radii must be positive, got r1={self.r1!r}, r2={self.r2!r}")
+        if not (0 < self.r1 < np.inf and 0 < self.r2 < np.inf):
+            raise ValueError(f"radii must be finite and positive: r1={self.r1!r}, r2={self.r2!r}")
 
 
 class OutcomeTag(enum.Enum):

@@ -171,6 +171,14 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("cli.ScenarioError:") and err.count("\n") == 1
 
+    def test_undecodable_scenario_file(self, tmp_path, capsys):
+        # reading a non-UTF-8 file raises UnicodeDecodeError, not OSError
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"mu = 398603.0\xff\n")
+        code, out, err = run(["simulate", str(path)], capsys)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"cli.ScenarioError: cannot read scenario {str(path)!r}: ")
+
     def test_unknown_scenario_name(self, capsys):
         code, _, err = run(["simulate", "no-such-scenario"], capsys)
         assert code == 2 and "not found" in err
@@ -300,23 +308,23 @@ class TestExitCodes:
         ["sweep-e", "SCENARIO", "--e-list", "0.1", "--out", "OUT"],
     ], ids=["simulate", "wincheck", "ellipsoids", "sweep-e"])
     def test_overflowing_closed_form(self, tmp_path, capsys, argv, overrides):
-        # the factor overflows to inf and NaN at f0: one SingularFactor
-        # line with exit 3, or an error cell with exit 0 in sweep-e, and no
-        # numpy warning (a warning raises under the suite's filter)
+        # the factor overflows to inf and NaN at f0: one OverflowError line
+        # with exit 2 and nothing on stdout, or an error cell with exit 0 in
+        # sweep-e, and no numpy warning (a warning raises under the suite's
+        # filter)
         path = scenario_file(tmp_path, **overrides)
         out_path = tmp_path / "out.csv"
         argv = [{"SCENARIO": path, "OUT": str(out_path)}.get(a, a) for a in argv]
-        code, _, err = run(argv, capsys)
+        code, out, err = run(argv, capsys)
+        message = ("OverflowError: factor U22 - S U12 at f=0 overflows: "
+                   "the scenario's numbers are too large")
         if argv[0] == "sweep-e":
             assert (code, err) == (0, "")
             with open(out_path, newline="", encoding="utf-8") as fh:
                 (row,) = csv.DictReader(fh)
-            assert row["error"].startswith("SingularFactor:")
-            assert row["error"].endswith("(condition number inf)")
+            assert row["error"] == message
         else:
-            assert code == 3 and err.count("\n") == 1
-            assert err.startswith("riccati.SingularFactor:")
-            assert err.endswith("at f=0 (condition number inf)\n")
+            assert (code, out, err) == (2, "", message + "\n")
 
     def test_wincheck_requires_hovering(self, tmp_path, capsys):
         path = scenario_file(tmp_path, xa0="0.0, 20.0, 0.0, 0.001, 0.0, 0.0")

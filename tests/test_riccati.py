@@ -302,14 +302,13 @@ class TestSingularityPolicy:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
     def test_non_finite_entry_in_stack(self, bad):
-        # np.linalg.cond gives nan on a NaN entry; the policy reports inf
+        # a non-finite entry is an overflow carried forward, not a singular
+        # matrix: the policy names it before any condition number is read
         mat = np.eye(3)
         mat[0, 2] = bad
-        with pytest.raises(SingularBlock, match=r"numerically singular at f=1 "
-                           r"\(condition number inf\)") as info:
+        with pytest.raises(OverflowError) as info:
             _require_conditioned(mat, 1.0, SingularBlock, "block")
-        assert info.value.f == 1.0
-        assert info.value.cond == math.inf
+        assert str(info.value) == "block at f=1 overflows: the scenario's numbers are too large"
 
     def test_returns_kappa1(self):
         kappa = _require_conditioned(np.diag([2.0, 4.0, 1.0]), 0.0, SingularBlock, "block")
@@ -319,8 +318,8 @@ class TestSingularityPolicy:
     @pytest.mark.parametrize("channel", [0, 1], ids=["in_plane", "out_of_plane"])
     def test_bad_channel_block_in_factor_check(self, monkeypatch, channel, bad):
         # a NaN entry or an all-zero block in one channel, at two nodes in
-        # two chunks: the check sweeps back from ff, so it reports cond = inf
-        # at the one nearer ff
+        # two chunks: the check sweeps back from ff, so it reports the one
+        # nearer ff, the NaN as an overflow and the zero block with cond = inf
         cfg = reference_config(weights=UNCERTIFIED)
         nodes = cfg.grid[[3, riccati._CHUNK + 5]]
         build = riccati._channel_factors
@@ -335,6 +334,12 @@ class TestSingularityPolicy:
             return blocks
 
         monkeypatch.setattr(riccati, "_channel_factors", spoiled)
+        if bad == "nan":
+            with pytest.raises(OverflowError) as info:
+                propagate_analytical(cfg)
+            assert str(info.value) == (f"factor U22 - S U12 at f={nodes[1]:.9g} overflows: "
+                                       "the scenario's numbers are too large")
+            return
         with pytest.raises(SingularFactor, match="numerically singular at f=") as info:
             propagate_analytical(cfg)
         assert info.value.f == nodes[1]
@@ -349,14 +354,15 @@ class TestSingularityPolicy:
         scan_quadratics,
         lambda cfg: ellipsoid_at(cfg, 1.0, "S1"),
     ], ids=["propagate_analytical", "scan_quadratics", "ellipsoid_at"])
-    def test_overflow_is_a_singular_factor(self, entry, overrides):
+    def test_overflow_is_an_overflow_error(self, entry, overrides):
         # 1/r_a, or C_hat at E ~ 1e300, overflows while the factor at f0 is
         # built: each entry point runs under one np.errstate guard, so the
-        # inf and NaN surface only as the policy's error, with cond = inf,
+        # inf and NaN surface only as the policy's OverflowError at f0,
         # never as a RuntimeWarning from the kernel below
-        with pytest.raises(SingularFactor, match=r"at f=0 \(condition number inf\)") as info:
+        with pytest.raises(OverflowError) as info:
             entry(reference_config(**overrides))
-        assert (info.value.f, info.value.cond) == (0.0, math.inf)
+        assert str(info.value) == ("factor U22 - S U12 at f=0 overflows: "
+                                   "the scenario's numbers are too large")
 
 
 class TestChannelCheck:

@@ -1,5 +1,6 @@
 """Outcome classification and the closed-form winning conditions."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +59,16 @@ class TestRecords:
             TerminalSets(r1=0.0, r2=0.01)
         with pytest.raises(ValueError):
             TerminalSets(r1=0.01, r2=-1.0)
+
+    @pytest.mark.parametrize("radius", ["r1", "r2"])
+    @pytest.mark.parametrize("record", [TerminalSets, reference_config],
+                             ids=["TerminalSets", "GameConfig"])
+    def test_infinite_radius_is_rejected(self, record, radius):
+        # an infinite ball holds every node, so capture would read as
+        # immediate; both records refuse the radius itself
+        radii = {"r1": 0.01, "r2": 0.01, radius: math.inf}
+        with pytest.raises(ValueError, match="radii must be finite and positive"):
+            record(**radii)
 
     def test_outcome_tag_values(self):
         assert OutcomeTag.ATTACKER_WINS.value == "AttackerWins"
