@@ -6,15 +6,20 @@ Scenario files are plain `key = value` text in a fixed key vocabulary;
 outputs are CSV and JSON plot data, never figures.  Units: km, km/rad,
 rad, km^3/s^2.  Timing uses a monotonic clock and excludes file I/O.
 
-Exit codes: 0 ok, 2 scenario/config error (an unreadable scenario file, a
-NaN or infinite scenario number or value of --rd0, --e-list or --f-list, a
---reps below 3, finite scenario numbers so extreme that the closed form
-overflows, ff = 1e300 or r_a = 1e-300 say, or that the numerical route's
-initial state exceeds its blow-up limit, an ellipsoids anomaly outside
-[f0, ff] and an output path that cannot be written, checked before any
-work), 3 singular or blown-up computation, 4 violated winning-condition
-precondition (hovering states, admissible --rd0) in wincheck, sweep-e and
-ellipsoids.
+Exit codes; a failure prints one stderr line, `Prefix: message`, and
+nothing on stdout (the README's table):
+  0  ok; sweep-e also when an eccentricity fails, in its row's error cell
+  2  cli.ScenarioError: an unreadable or malformed scenario file, a NaN or
+     infinite scenario number or value of --rd0, --e-list or --f-list, a
+     grid past 10^6 steps, an ellipsoids anomaly outside [f0, ff], a
+     --reps below 3; the OSError type: an output path that cannot be
+     written, checked before any work; OverflowError: finite scenario
+     numbers so extreme that either method overflows (ff = 1e300, r_a or
+     r_d = 1e-300, an initial state past the RK4 blow-up limit)
+  3  riccati.SingularFactor or numerical_baseline.NumericalBlowup: a
+     singular factor or a conjugate point, or an RK4 run that blows up
+  4  cli.PreconditionError: non-hovering states or an inadmissible --rd0
+     in wincheck, sweep-e and ellipsoids
 """
 
 import argparse
@@ -298,7 +303,7 @@ def build_parser():
         ),
         epilog="Exit codes: 0 ok, 2 scenario/config error, non-finite option "
                "value, overflowing scenario numbers (either method; ff = 1e300 "
-               "or r_a = 1e-300, say) or unwritable output path, 3 singular/"
+               "or r_a or r_d = 1e-300, say) or unwritable output path, 3 singular/"
                "blown-up computation, 4 violated winning-condition precondition "
                "(hovering states, admissible --rd0) in wincheck, sweep-e and ellipsoids.",
     )

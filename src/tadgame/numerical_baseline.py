@@ -101,15 +101,20 @@ def _a_rows(e, f):
     ]
 
 
+def _w12_gains(orbit, weights, f):
+    """The two gains of W12 at anomaly f: with the control gain
+    (beta / rho^3)^2, g_a = gain / r_a and g_v = gain (1/r_d - 1/r_a)."""
+    gain = (orbit.beta / (1.0 + orbit.e * math.cos(f)) ** 3) ** 2
+    return gain / weights.r_a, gain * (1.0 / weights.r_d - 1.0 / weights.r_a)
+
+
 def _w_rows(orbit, weights, f):
     """W blocks of the coupled flow as nested lists: (W11, W12, W22), with
     W11 = diag(A, A) and W22 = -W11ᵀ."""
     a = _a_rows(orbit.e, f)
     w11 = [row + [0.0] * 6 for row in a] + [[0.0] * 6 + row for row in a]
     w22 = [[-x for x in col] for col in zip(*w11)]
-    gain = (orbit.beta / (1.0 + orbit.e * math.cos(f)) ** 3) ** 2
-    g_a = gain / weights.r_a
-    g_v = gain * (1.0 / weights.r_d - 1.0 / weights.r_a)
+    g_a, g_v = _w12_gains(orbit, weights, f)
     w12 = [[0.0] * 12 for _ in range(12)]
     for i in range(3, 6):
         w12[i][i] = -g_a
@@ -198,10 +203,17 @@ def _controls(weights, scale, lam_v, nu_v, off_a, off_d):
 
 def _require_bounded_start(config):
     """OverflowError if the initial state already exceeds the blow-up
-    limit; needs only the scenario, so it can run before the sweep."""
+    limit, or if a W12 gain of the Riccati field is not finite at a grid
+    node (r_a or r_d = 1e-300, say); needs only the scenario, so it can run
+    before the sweep.  NaN or growth that arises during the sweep from
+    finite gains stays NumericalBlowup."""
     if any(abs(v) > _BLOWUP_LIMIT for v in (*config.x_a0, *config.x_da0)):
         raise OverflowError(f"initial state exceeds {_BLOWUP_LIMIT:.0e}: "
                             "the scenario's numbers are too large")
+    for f in config.grid.tolist():
+        if not all(map(math.isfinite, _w12_gains(config.orbit, config.weights, f))):
+            raise OverflowError(f"RK4 gain of W12 at f={f:.9g} overflows: "
+                                "the scenario's numbers are too large")
 
 
 def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
@@ -213,8 +225,8 @@ def simulate_numerical(config, pgrid, attacker_dev=None, defender_dev=None):
     node offsets.  Each control is the saddle-point formula on the costate
     P y plus the player's offset.  The offsets (shape (N+1, 3), zero by
     default) exist for equilibrium-deviation studies.  An initial state
-    already past the blow-up limit raises OverflowError before the first
-    step."""
+    already past the blow-up limit, or a W12 gain that is not finite,
+    raises OverflowError before the first step."""
     orbit = config.orbit
     weights = config.weights
     e = orbit.e

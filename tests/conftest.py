@@ -27,6 +27,13 @@ def reference_weights():
     return WeightSet(r_a=5e9, r_d=3e9, s_ar=1.0, s_av=1.0, s_dar=0.001, s_dav=0.001)
 
 
+def conjugate_weights():
+    """Weights whose Riccati solution on the reference scenario has a
+    conjugate point inside the last grid interval (r_d > r_a): every
+    closed-form route must refuse it with SingularFactor."""
+    return WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0, s_dar=1000.0, s_dav=1000.0)
+
+
 def reference_config(**overrides):
     """Reference scenario; keyword overrides replace individual fields."""
     kw = dict(

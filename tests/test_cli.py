@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -14,7 +15,7 @@ import pytest
 
 import tadgame.cli
 import tadgame.winning
-from conftest import reference_config, riccati_p
+from conftest import conjugate_weights, reference_config, riccati_p
 from tadgame.cli import (
     ScenarioError,
     _rel_err,
@@ -48,6 +49,9 @@ DEFAULTS = {
     "R1": "0.01",
     "R2": "0.01",
 }
+
+# the conjugate-point weights as scenario-file values
+CONJUGATE = {k: repr(v) for k, v in dataclasses.asdict(conjugate_weights()).items()}
 
 
 def scenario_file(tmp_path, name="case.cfg", drop=(), **overrides):
@@ -191,9 +195,9 @@ class TestExitCodes:
         assert "f=0" in err
 
     def test_conjugate_point_between_nodes(self, tmp_path, capsys):
-        path = scenario_file(tmp_path, r_a="5e7", r_d="1e10", s_dar="1000.0", s_dav="1000.0")
-        code, _, err = run(["simulate", path, "--method", "analytical"], capsys)
-        assert code == 3
+        path = scenario_file(tmp_path, **CONJUGATE)
+        code, out, err = run(["simulate", path, "--method", "analytical"], capsys)
+        assert (code, out, err.count("\n")) == (3, "", 1)
         assert err.startswith("riccati.SingularFactor:") and "conjugate point" in err
 
     @pytest.mark.parametrize("argv", [
@@ -231,17 +235,17 @@ class TestExitCodes:
     def test_scan_conjugate_point_between_nodes(self, tmp_path, capsys, argv):
         # the scenario of the test above: simulate exits 3, the scans must
         # too, and sweep-e must record the failure in the row's error cell
-        path = scenario_file(tmp_path, r_a="5e7", r_d="1e10", s_dar="1000.0", s_dav="1000.0")
+        path = scenario_file(tmp_path, **CONJUGATE)
         out_path = tmp_path / "out.csv"
         argv = [{"SCENARIO": path, "OUT": str(out_path)}.get(a, a) for a in argv]
-        code, _, err = run(argv, capsys)
+        code, out, err = run(argv, capsys)
         if argv[0] == "sweep-e":
-            assert code == 0
+            assert (code, err) == (0, "")
             with open(out_path, newline="", encoding="utf-8") as fh:
                 (row,) = csv.DictReader(fh)
             assert row["error"].startswith("SingularFactor:")
         else:
-            assert code == 3
+            assert (code, out, err.count("\n")) == (3, "", 1)
             assert err.startswith("riccati.SingularFactor:")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "100", "-1"])
@@ -288,19 +292,11 @@ class TestExitCodes:
         assert code == 3
         assert err.startswith("numerical_baseline.NumericalBlowup:")
 
-    @pytest.mark.parametrize("penalty", ["r_a", "r_d"])
-    def test_numerical_nan_is_a_blowup(self, tmp_path, capsys, penalty):
-        # the RK4 gain turns NaN at the first sub-step: exit 3 with one
-        # stderr line, not exit 0 with "J": NaN on stdout
-        path = scenario_file(tmp_path, ff=repr(4 * H_F), **{penalty: "1e-300"})
-        code, out, err = run(["simulate", path, "--method", "numerical"], capsys)
-        assert (code, out) == (3, "")
-        assert err.startswith("numerical_baseline.NumericalBlowup:") and err.count("\n") == 1
-
     @pytest.mark.parametrize("overrides", [
         {"r_a": "1e-300"},
+        {"r_d": "1e-300"},
         {"ff": "1e300", "h_f": "1e299"},
-    ], ids=["tiny-r_a", "huge-ff"])
+    ], ids=["tiny-r_a", "tiny-r_d", "huge-ff"])
     @pytest.mark.parametrize("argv", [
         ["simulate", "SCENARIO"],
         ["wincheck", "SCENARIO"],
@@ -389,17 +385,25 @@ class TestExitCodes:
         assert err.startswith("OverflowError:") and err.count("\n") == 1
         assert not out_path.exists()
 
-    def test_numerical_start_checked_before_sweep(self, tmp_path, capsys, monkeypatch):
-        # past the RK4 blow-up limit at the start: exit 2 before the
-        # backward sweep of the full reference horizon begins
+    @pytest.mark.parametrize("overrides, what", [
+        ({"xa0": "0, 2e15, 0, 0, 0, 0"}, "initial state exceeds 1e+15"),
+        ({"r_a": "1e-300"}, "RK4 gain of W12 at f=0 overflows"),
+        ({"r_d": "1e-300"}, "RK4 gain of W12 at f=0 overflows"),
+    ], ids=["huge-state", "tiny-r_a", "tiny-r_d"])
+    def test_numerical_start_checked_before_sweep(self, tmp_path, capsys, monkeypatch,
+                                                  overrides, what):
+        # past the RK4 blow-up limit at the start, or a W12 gain that
+        # overflows on the grid as the closed form's factor does: exit 2
+        # with one OverflowError line before the backward sweep of the full
+        # reference horizon begins
         def no_sweep(config):
             raise AssertionError("the backward sweep ran")
 
         monkeypatch.setattr(tadgame.cli, "integrate_riccati_backward", no_sweep)
-        path = scenario_file(tmp_path, xa0="0, 2e15, 0, 0, 0, 0")
+        path = scenario_file(tmp_path, **overrides)
         code, out, err = run(["simulate", path, "--method", "numerical"], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("OverflowError:") and err.count("\n") == 1
+        assert (code, out) == (2, "")
+        assert err == f"OverflowError: {what}: the scenario's numbers are too large\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_wincheck_non_finite_rd0(self, tmp_path, capsys, value):

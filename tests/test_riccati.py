@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 
-from conftest import c1, dense_blocks, kernel_blocks, omega11, reference_config, riccati_p
+from conftest import (
+    c1, conjugate_weights, dense_blocks, kernel_blocks, omega11, reference_config, riccati_p,
+)
 from properties import (
     C_INDEX,
     FROZEN_C,
@@ -524,7 +526,7 @@ class TestFeedbackGain:
         # stays below the threshold at every node.  At a chunk size of 10,
         # the sweep from ff reads node 999 in its first chunk, and the error
         # must not change
-        w = WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0, s_dar=1000.0, s_dav=1000.0)
+        w = conjugate_weights()
         cfg = reference_config(weights=w)
         with pytest.raises(SingularFactor, match="conjugate point") as want:
             propagate_analytical(cfg)
@@ -606,8 +608,7 @@ class TestFeedbackGain:
     def test_sweep_stops_at_first_failure_from_ff(self, monkeypatch):
         # the conjugate point sits in the last grid interval, so the sweep
         # from ff raises on its first chunk and builds no other
-        w = WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0, s_dar=1000.0, s_dav=1000.0)
-        cfg = reference_config(weights=w)
+        cfg = reference_config(weights=conjugate_weights())
         with pytest.raises(SingularFactor, match="conjugate point") as want:
             propagate_analytical(cfg)
         calls = []

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import reference_config
+from conftest import conjugate_weights, reference_config
 from tadgame import game, riccati
 from tadgame.game import Trajectory, _d_grid, propagate_analytical
 from tadgame.winning import (
@@ -305,9 +305,7 @@ class TestOneFactorPolicy:
         # det F <= 0 at the last node before ff, so there is a conjugate
         # point inside the horizon: every closed-form route that solves
         # P(f0) raises the same error as propagate_analytical
-        w = riccati.WeightSet(r_a=5e7, r_d=1e10, s_ar=1.0, s_av=1.0,
-                              s_dar=1000.0, s_dav=1000.0)
-        cfg = reference_config(weights=w)
+        cfg = reference_config(weights=conjugate_weights())
         routes = [propagate_analytical, scan_quadratics,
                   lambda c: ellipsoid_at(c, 1.0, "S1"),
                   lambda c: winning_set_membership(c, RD0_REF)]
